@@ -1,10 +1,8 @@
 //! Knowledge-graph store benchmarks: the serving path's lookups (hashmap
-//! adjacency vs frozen CSR snapshot), the navigation hierarchy build, and
-//! snapshot/JSON (de)serialisation.
+//! adjacency vs frozen CSR snapshot), the navigation hierarchy build, the
+//! snapshot freeze, and JSON (de)serialisation.
 
-use cosmo_kg::{
-    BehaviorKind, Edge, IntentHierarchy, KgSnapshot, KnowledgeGraph, NodeKind, Relation,
-};
+use cosmo_kg::{BehaviorKind, Edge, IntentHierarchy, KnowledgeGraph, NodeKind, Relation};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
 fn build_graph(n_heads: usize, tails_per_head: usize) -> KnowledgeGraph {
@@ -97,21 +95,11 @@ fn bench_json_roundtrip(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_snapshot_roundtrip(c: &mut Criterion) {
+fn bench_snapshot_freeze(c: &mut Criterion) {
     let kg = build_graph(500, 8);
-    let snap = kg.freeze();
-    let bytes = snap.to_bytes();
     let mut g = c.benchmark_group("kg");
     g.sample_size(20);
     g.bench_function("snapshot_freeze", |b| b.iter(|| kg.freeze().num_edges()));
-    g.bench_function("snapshot_serialize", |b| b.iter(|| snap.to_bytes().len()));
-    g.bench_function("snapshot_deserialize", |b| {
-        b.iter(|| {
-            KgSnapshot::from_bytes(black_box(&bytes))
-                .unwrap()
-                .num_edges()
-        })
-    });
     g.finish();
 }
 
@@ -146,7 +134,7 @@ criterion_group!(
     bench_lookup,
     bench_hierarchy,
     bench_json_roundtrip,
-    bench_snapshot_roundtrip,
+    bench_snapshot_freeze,
     bench_embed
 );
 criterion_main!(benches);

@@ -17,10 +17,9 @@ fn system(preload_n: usize) -> ServingSystem {
             ("walking the dog".into(), Some(Relation::UsedForEve)),
         ],
     ));
-    let kg = Arc::new(KnowledgeGraph::new());
     let preload: Vec<String> = (0..preload_n).map(|i| format!("hot query {i}")).collect();
     ServingSystem::builder()
-        .kg(kg)
+        .view(KnowledgeGraph::new().freeze())
         .lm(lm)
         .preload(preload)
         .config(ServingConfig {

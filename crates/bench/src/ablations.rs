@@ -7,7 +7,6 @@ use cosmo_lm::{eval_generation, CosmoLm, StudentConfig, TaskType};
 use cosmo_serving::{query_universe, simulate, ServingConfig, ServingSystem, TrafficConfig};
 use cosmo_teacher::{Provenance, Teacher, TeacherConfig};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Pipeline-quality metrics for one configuration: KG precision (fraction
 /// of admitted edges that are genuinely in-profile knowledge), admitted
@@ -167,7 +166,7 @@ pub fn ablate_cache(ctx: &Ctx) -> String {
     ] {
         let preload: Vec<String> = universe.iter().take(preload_n).cloned().collect();
         let system = ServingSystem::builder()
-            .kg(Arc::new(ctx.out.kg.clone()))
+            .view(ctx.out.kg.freeze())
             .lm(ctx.student.clone())
             .preload(preload)
             .config(ServingConfig {

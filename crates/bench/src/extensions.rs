@@ -8,8 +8,7 @@ use crate::output::write_bench_json;
 use crate::rss::{peak_rss_bytes, reset_peak_rss};
 use cosmo_core::{apply_feedback, generate_and_freeze};
 use cosmo_kg::{
-    BehaviorKind, Edge, KgSnapshot, KgSnapshotView, KnowledgeGraph, MappedSnapshot, NodeId,
-    NodeKind, Relation, StreamOptions,
+    BehaviorKind, Edge, KgSnapshotView, KnowledgeGraph, NodeId, NodeKind, Relation, StreamOptions,
 };
 use cosmo_lm::TaskType;
 use cosmo_sessrec::{
@@ -329,23 +328,6 @@ fn scaling_kg(n_heads: usize, deg: usize) -> KnowledgeGraph {
     kg
 }
 
-/// Rebuild a mutable store from a snapshot via the intern/merge write path —
-/// the baseline that `KgSnapshot::load` is measured against (what a serving
-/// host would have to do without the binary snapshot format).
-fn rebuild_via_intern(snap: &KgSnapshot) -> KnowledgeGraph {
-    let mut kg = KnowledgeGraph::new();
-    // interning in id order reproduces the same dense ids, so edges
-    // carry over without remapping
-    for id in 0..snap.num_nodes() {
-        let id = NodeId(id as u32);
-        kg.intern_node(snap.node_kind(id), snap.node_text(id));
-    }
-    for e in snap.edges() {
-        kg.add_edge(e.clone());
-    }
-    kg
-}
-
 /// Comparable fingerprint of serving features: every float by bit pattern.
 type FeatureBits = (
     String,
@@ -382,7 +364,7 @@ pub enum KgTier {
     Paper,
 }
 
-/// KG read-path scaling: build vs freeze vs snapshot save/load wall-clock,
+/// KG read-path scaling: build vs freeze vs mapped-open wall-clock,
 /// `tails_of_rel` lookups/sec over the hashmap adjacency vs the CSR slice,
 /// and embeds/sec for the allocating `embed` vs scratch-reusing
 /// `embed_into`, at three graph sizes. Also asserts the serving and nav
@@ -396,25 +378,14 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
 
     let _ = writeln!(
         out,
-        "{:<12} {:>9} {:>10} {:>10} {:>10} {:>10} {:>11} {:>9} {:>11} {:>11} {:>8}",
-        "graph",
-        "edges",
-        "build(s)",
-        "freeze(s)",
-        "load(s)",
-        "load-spd",
-        "v2 open(s)",
-        "v2-spd",
-        "map lk/s",
-        "csr lk/s",
-        "csr-spd"
+        "{:<12} {:>9} {:>10} {:>10} {:>11} {:>11} {:>11} {:>8}",
+        "graph", "edges", "build(s)", "freeze(s)", "v2 open(s)", "map lk/s", "csr lk/s", "csr-spd"
     );
     let sizes: &[(usize, usize)] = match tier {
         KgTier::Smoke => &[(500, 8)],
         _ => &[(500, 8), (2000, 24), (8000, 64)],
     };
-    let (mut csr_speedup_largest, mut load_speedup_largest) = (0.0f64, 0.0f64);
-    let mut v2_speedup_largest = 0.0f64;
+    let mut csr_speedup_largest = 0.0f64;
     for (si, &(n_heads, deg)) in sizes.iter().enumerate() {
         let t0 = std::time::Instant::now();
         let kg = scaling_kg(n_heads, deg);
@@ -424,51 +395,26 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
         let snap = kg.freeze();
         let freeze_secs = t0.elapsed().as_secs_f64();
 
-        let path = std::env::temp_dir().join(format!(
-            "cosmo_bench_kg_{}_{}.snap",
-            std::process::id(),
-            n_heads
-        ));
-        let t0 = std::time::Instant::now();
-        snap.save(&path).expect("snapshot save");
-        let save_secs = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        let loaded = KgSnapshot::load(&path).expect("snapshot load");
-        let load_secs = t0.elapsed().as_secs_f64();
-        assert_eq!(loaded, snap, "loaded snapshot differs at {n_heads} heads");
-        let _ = std::fs::remove_file(&path);
-
-        // v2 zero-copy open: mmap + structural validation, no Vec
-        // materialisation — compare against the v1 full parse above
+        // zero-copy open of the frozen bytes written to a file: mmap +
+        // structural validation, no Vec materialisation
         let path_v2 = std::env::temp_dir().join(format!(
             "cosmo_bench_kg_{}_{}.kg2",
             std::process::id(),
             n_heads
         ));
-        snap.save_v2(&path_v2).expect("v2 snapshot save");
+        std::fs::write(&path_v2, snap.as_bytes()).expect("v2 snapshot save");
         let v2_load_secs = best_secs(9, || {
-            let mapped = cosmo_kg::MappedSnapshot::open(&path_v2).expect("v2 snapshot open");
+            let mapped = KgSnapshotView::open(&path_v2).expect("v2 snapshot open");
             std::hint::black_box(mapped.num_edges());
         });
-        let mapped = cosmo_kg::MappedSnapshot::open(&path_v2).expect("v2 snapshot open");
+        let mapped = KgSnapshotView::open(&path_v2).expect("v2 snapshot open");
         assert_eq!(
-            mapped.to_owned_snapshot(),
-            snap,
+            mapped.as_bytes(),
+            snap.as_bytes(),
             "v2 mapped snapshot differs at {n_heads} heads"
         );
         drop(mapped);
         let _ = std::fs::remove_file(&path_v2);
-        let v2_load_speedup = load_secs / v2_load_secs;
-
-        let t0 = std::time::Instant::now();
-        let rebuilt = rebuild_via_intern(&snap);
-        let rebuild_secs = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            (rebuilt.num_nodes(), rebuilt.num_edges()),
-            (snap.num_nodes(), snap.num_edges()),
-            "rebuild diverged at {n_heads} heads"
-        );
-        let load_speedup = rebuild_secs / load_secs;
 
         // lookup probes: head × relation pairs spread over the whole graph
         let heads: Vec<NodeId> = (0..n_heads)
@@ -508,21 +454,16 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
         let csr_speedup = csr_rate / map_rate;
         if si + 1 == sizes.len() {
             csr_speedup_largest = csr_speedup;
-            load_speedup_largest = load_speedup;
-            v2_speedup_largest = v2_load_speedup;
         }
 
         let _ = writeln!(
             out,
-            "{:<12} {:>9} {:>10.3} {:>10.3} {:>10.4} {:>9.1}x {:>11.6} {:>8.0}x {:>11.0} {:>11.0} {:>7.1}x",
+            "{:<12} {:>9} {:>10.3} {:>10.3} {:>11.6} {:>11.0} {:>11.0} {:>7.1}x",
             format!("{n_heads}x{deg}"),
             kg.num_edges(),
             build_secs,
             freeze_secs,
-            load_secs,
-            load_speedup,
             v2_load_secs,
-            v2_load_speedup,
             map_rate,
             csr_rate,
             csr_speedup
@@ -531,9 +472,7 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
             json,
             "    {{\"heads\": {n_heads}, \"degree\": {deg}, \"nodes\": {}, \"edges\": {}, \
              \"build_secs\": {build_secs:.6}, \"freeze_secs\": {freeze_secs:.6}, \
-             \"save_secs\": {save_secs:.6}, \"load_secs\": {load_secs:.6}, \
-             \"v2_load_secs\": {v2_load_secs:.6}, \"v2_load_speedup\": {v2_load_speedup:.3}, \
-             \"rebuild_secs\": {rebuild_secs:.6}, \"load_speedup\": {load_speedup:.3}, \
+             \"v2_load_secs\": {v2_load_secs:.6}, \
              \"map_lookups_per_sec\": {map_rate:.0}, \"csr_lookups_per_sec\": {csr_rate:.0}, \
              \"csr_speedup\": {csr_speedup:.3}}}{}",
             kg.num_nodes(),
@@ -648,7 +587,7 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<7} {:>10} {:>10} {:>5} {:>9} {:>9} {:>9} {:>11} {:>9} {:>9} {:>10} {:>8} {:>11}",
+        "{:<7} {:>10} {:>10} {:>5} {:>9} {:>9} {:>9} {:>11} {:>9} {:>9} {:>10} {:>11}",
         "world",
         "nodes",
         "edges",
@@ -660,7 +599,6 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
         "peak MB",
         "rss/file",
         "v2 op(s)",
-        "v1/v2",
         "csr lk/s"
     );
     json.push_str("  \"stream\": [\n");
@@ -685,8 +623,6 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
         json,
         "  \"stream_tier\": \"{tier_name}\",\n  \
          \"csr_speedup_largest\": {csr_speedup_largest:.3},\n  \
-         \"load_speedup_largest\": {load_speedup_largest:.3},\n  \
-         \"v2_load_speedup_largest\": {v2_speedup_largest:.3},\n  \
          \"serving_identical\": {serving_identical},\n  \
          \"nav_identical\": {nav_identical}\n}}\n"
     );
@@ -771,32 +707,14 @@ fn stream_row(
         );
     }
 
-    // structural mmap open vs the v1-equivalent full parse, at this scale
+    // structural mmap open at this scale
     let big = stats.edges > 4_000_000;
     let reps = if big { 3 } else { 9 };
     let v2_open_secs = best_secs(reps, || {
-        let m = MappedSnapshot::open(&path).expect("v2 open");
+        let m = KgSnapshotView::open(&path).expect("v2 open");
         std::hint::black_box(m.num_edges());
     });
-    let mapped = MappedSnapshot::open(&path).expect("v2 open");
-    let path_v1 = path.with_extension("snap");
-    mapped
-        .to_owned_snapshot()
-        .save(&path_v1)
-        .expect("v1-equivalent save");
-    let v1_load_secs = best_secs(if big { 2 } else { 9 }, || {
-        let s = KgSnapshot::load(&path_v1).expect("v1 load");
-        std::hint::black_box(s.num_edges());
-    });
-    let _ = std::fs::remove_file(&path_v1);
-    let v1_over_v2 = v1_load_secs / v2_open_secs;
-    if paper_checks {
-        assert!(
-            v1_over_v2 >= 10.0,
-            "v2 structural open is only {v1_over_v2:.1}x faster than the \
-             v1-equivalent parse at paper scale (target: >= 10x)"
-        );
-    }
+    let mapped = KgSnapshotView::open(&path).expect("v2 open");
 
     // CSR adjacency + node-lookup throughput over the mapped file
     let n_heads = cfg.total_heads();
@@ -834,7 +752,7 @@ fn stream_row(
 
     let _ = writeln!(
         human,
-        "{:<7} {:>10} {:>10} {:>5} {:>9.1} {:>9.1} {:>9.2} {:>11.0} {:>9} {:>9} {:>10.4} {:>7.0}x {:>11.0}",
+        "{:<7} {:>10} {:>10} {:>5} {:>9.1} {:>9.1} {:>9.2} {:>11.0} {:>9} {:>9} {:>10.4} {:>11.0}",
         label,
         stats.nodes,
         stats.edges,
@@ -846,7 +764,6 @@ fn stream_row(
         peak_rss.map_or("n/a".into(), |p| format!("{:.0}", mb(p))),
         rss_over_file.map_or("n/a".into(), |r| format!("{r:.2}x")),
         v2_open_secs,
-        v1_over_v2,
         csr_rate
     );
 
@@ -945,7 +862,7 @@ fn stream_row(
         // navigation identity last: the engines take the graphs by value
         let store_engine = cosmo_nav::NavigationEngine::new(store);
         let mapped_engine =
-            cosmo_nav::NavigationEngine::new(MappedSnapshot::open(&path).expect("v2 open"));
+            cosmo_nav::NavigationEngine::new(KgSnapshotView::open(&path).expect("v2 open"));
         for text in sample.iter().take(50) {
             if store_engine.interpret(text, 5) != mapped_engine.interpret(text, 5) {
                 nav_identical = false;
@@ -962,7 +879,7 @@ fn stream_row(
         let streamed = std::fs::read(&path).expect("read streamed file");
         let store = replay_store(cfg);
         assert!(
-            streamed == store.freeze().to_bytes_v2(),
+            streamed == store.freeze().as_bytes(),
             "streamed {label} world differs from the store freeze bytes"
         );
         byte_identical = "true";
@@ -976,8 +893,7 @@ fn stream_row(
          \"spill_runs\": {}, \"spilled_mb\": {:.1}, \"file_mb\": {:.1}, \
          \"generate_freeze_secs\": {freeze_secs:.3}, \"edges_per_sec\": {edges_per_sec:.0}, \
          \"peak_rss_mb\": {}, \"rss_over_file\": {}, \
-         \"v2_open_secs\": {v2_open_secs:.6}, \"v1_load_secs\": {v1_load_secs:.6}, \
-         \"v1_over_v2_open\": {v1_over_v2:.2}, \"csr_lookups_per_sec\": {csr_rate:.0}, \
+         \"v2_open_secs\": {v2_open_secs:.6}, \"csr_lookups_per_sec\": {csr_rate:.0}, \
          \"find_node_per_sec\": {find_rate:.0}, \"byte_identical_to_store\": {byte_identical}, \
          \"serving_identical\": {serving_identical}, \"nav_identical\": {nav_identical}, \
          \"http_identical\": {http_identical}, \"http_rps\": {http_rps:.1}}}",

@@ -11,7 +11,6 @@ use cosmo_serving::{
 };
 use cosmo_teacher::{cobuy_prompt, search_buy_prompt};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Figure 3: the QA prompts used for knowledge harvesting.
 pub fn figure3(ctx: &Ctx) -> String {
@@ -52,7 +51,7 @@ pub fn figure5(ctx: &Ctx) -> String {
         .cloned()
         .collect();
     let system = ServingSystem::builder()
-        .kg(Arc::new(ctx.out.kg.clone()))
+        .view(ctx.out.kg.freeze())
         .lm(ctx.student.clone())
         .preload(preload)
         .build()
@@ -134,7 +133,7 @@ pub fn serving_throughput(ctx: &Ctx) -> String {
         ("sharded (default)", ServingConfig::default()),
     ] {
         let system = ServingSystem::builder()
-            .kg(Arc::new(ctx.out.kg.clone()))
+            .view(ctx.out.kg.freeze())
             .lm(ctx.student.clone())
             .preload(preload.clone())
             .config(cfg.clone())

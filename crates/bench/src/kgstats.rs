@@ -7,7 +7,7 @@ use cosmo_kg::{connected_components, degree_histogram, giant_component_size, top
 use std::fmt::Write as _;
 
 /// Render the KG analytics report. The analytics iterate CSR slices, so
-/// the built graph is frozen into a [`cosmo_kg::KgSnapshot`] first.
+/// the built graph is frozen into a [`cosmo_kg::KgSnapshotView`] first.
 pub fn kgstats(ctx: &Ctx) -> String {
     let kg = ctx.out.kg.freeze();
     let kg = &kg;

@@ -129,8 +129,7 @@ mod tests {
 
     /// The full 6.3M-node / 29M-edge world of the paper: sharded parallel
     /// generation, streaming freeze with the 2x peak-RSS budget asserted,
-    /// v2 open >= 10x the v1-equivalent parse, and serving/nav/HTTP
-    /// identity against the replayed store. Minutes of wall clock and
+    /// and serving/nav/HTTP identity against the replayed store. Minutes of wall clock and
     /// ~3 GB of scratch disk, so opt-in — same coverage as
     /// `cargo run --release -p cosmo-bench --bin repro -- kg-scaling --paper`.
     #[test]

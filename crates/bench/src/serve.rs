@@ -1,5 +1,5 @@
 //! The `serve` experiment: stand up the real HTTP front end over a
-//! frozen [`cosmo_kg::KgSnapshot`] and drive it closed-loop with
+//! frozen [`cosmo_kg::KgSnapshotView`] and drive it closed-loop with
 //! synthetic query streams, sweeping offered concurrency to saturation.
 //!
 //! Two modes:
@@ -26,7 +26,7 @@ use std::time::Duration;
 /// Stand up the serving system + HTTP server, run the load shape, write
 /// `BENCH_serve.json`, and render the human-readable summary.
 pub fn serve(ctx: &Ctx, smoke: bool) -> String {
-    let snapshot = Arc::new(ctx.out.kg.freeze());
+    let snapshot = ctx.out.kg.freeze();
 
     // synthetic query stream: the world's real generated queries, with a
     // slice of them preloaded so the sweep exercises the hit path too
@@ -46,7 +46,7 @@ pub fn serve(ctx: &Ctx, smoke: bool) -> String {
 
     let system = Arc::new(
         ServingSystem::builder()
-            .snapshot(snapshot)
+            .view(snapshot)
             .lm(ctx.student.clone())
             .preload(preload)
             .build()
@@ -213,7 +213,7 @@ pub fn serve_swap(ctx: &Ctx, smoke: bool) -> String {
         .collect();
     let system = Arc::new(
         ServingSystem::builder()
-            .snapshot(Arc::new(ctx.out.kg.freeze()))
+            .view(ctx.out.kg.freeze())
             .lm(ctx.student.clone())
             .preload(queries.iter().cloned())
             .build()
@@ -254,7 +254,7 @@ pub fn serve_swap(ctx: &Ctx, smoke: bool) -> String {
                 });
             }
             let path = dir.join(format!("gen_{i}.kg2"));
-            kg.freeze().save_v2(&path).expect("v2 snapshot save");
+            std::fs::write(&path, kg.freeze().as_bytes()).expect("v2 snapshot save");
             path
         })
         .collect();

@@ -90,7 +90,7 @@ pub fn generate_and_freeze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosmo_kg::{KnowledgeGraph, MappedSnapshot, Verify};
+    use cosmo_kg::{KgSnapshotView, KnowledgeGraph, Verify};
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("cosmo-scale-{tag}-{}.kg2", std::process::id()))
@@ -163,7 +163,14 @@ mod tests {
                 });
             }
         }
-        assert_eq!(streamed, kg.freeze().to_bytes_v2());
-        MappedSnapshot::from_bytes(streamed, Verify::Full).unwrap();
+        assert_eq!(streamed, kg.freeze().as_bytes());
+        // length and digest of the bytes the earlier owned-CSR encoder
+        // wrote for this replay
+        assert_eq!(streamed.len(), 1_298_480);
+        assert_eq!(
+            cosmo_text::hash::hash_bytes(&streamed),
+            0x1400_830b_0545_e131
+        );
+        KgSnapshotView::from_bytes(streamed, Verify::Full).unwrap();
     }
 }

@@ -9,7 +9,7 @@
 //!             ┌───────────── supervisor thread ─────────────┐
 //!   TCP ───▶  │ acceptors (N jobs)  ─▶ queue ─▶ workers (M) │ ─▶ ServingSystem
 //!             │        nonblocking      bounded, admission-  │     (frozen
-//!             │        accept loop      policed VecDeque     │    KgSnapshot)
+//!             │        accept loop      policed VecDeque     │    snapshot)
 //!             └─────────────────────────────────────────────┘
 //! ```
 //!
@@ -21,7 +21,7 @@
 
 use crate::wire::{read_request, write_response, ReadError, Request, Response};
 use cosmo_exec::WorkerPool;
-use cosmo_kg::KgSnapshotView;
+use cosmo_kg::{KgSnapshotView, FORMAT_VERSION_V2};
 use cosmo_nav::{NavigationEngine, Suggestion};
 use cosmo_serving::{
     AdmissionPolicy, ErrorBody, NavigateItem, NavigateRequest, NavigateResponse, ReloadRequest,
@@ -530,16 +530,12 @@ impl Router {
         };
         match KgSnapshotView::open_verified(std::path::Path::new(&req.path)) {
             Ok(view) => {
-                let (format_version, nodes, edges) = (
-                    view.format_version(),
-                    view.num_nodes() as u64,
-                    view.num_edges() as u64,
-                );
+                let (nodes, edges) = (view.num_nodes() as u64, view.num_edges() as u64);
                 let generation = self.system.swap_snapshot(view);
                 let resp = ReloadResponse {
                     protocol_version: PROTOCOL_VERSION,
                     generation,
-                    format_version,
+                    format_version: FORMAT_VERSION_V2,
                     nodes,
                     edges,
                 };
@@ -558,7 +554,7 @@ impl Router {
         let view = &generation.view;
         SnapshotVersion {
             protocol_version: PROTOCOL_VERSION,
-            format_version: view.format_version(),
+            format_version: FORMAT_VERSION_V2,
             nodes: view.num_nodes() as u64,
             edges: view.num_edges() as u64,
             relations: view.num_relations() as u64,

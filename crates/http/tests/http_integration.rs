@@ -6,8 +6,8 @@ use cosmo_http::{HttpClient, HttpServer, ServerConfig};
 use cosmo_kg::{BehaviorKind, Edge, KnowledgeGraph, NodeKind, Relation};
 use cosmo_lm::{CosmoLm, StudentConfig};
 use cosmo_serving::{
-    AdmissionPolicy, NavigateResponse, OpsStats, ServeRequest, ServeResponse, ServingConfig,
-    ServingSystem, SnapshotVersion,
+    AdmissionPolicy, ErrorBody, NavigateResponse, OpsStats, ServeRequest, ServeResponse,
+    ServingConfig, ServingSystem, SnapshotVersion,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -51,7 +51,7 @@ fn test_system(cfg: ServingConfig, preload: &[&str]) -> Arc<ServingSystem> {
     ));
     Arc::new(
         ServingSystem::builder()
-            .snapshot(Arc::new(test_kg().freeze()))
+            .view(test_kg().freeze())
             .lm(lm)
             .preload(preload.iter().copied())
             .config(cfg)
@@ -507,7 +507,7 @@ fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
                 });
             }
             let path = dir.join(format!("swap_{i}.kg2"));
-            kg.freeze().save_v2(&path).unwrap();
+            std::fs::write(&path, kg.freeze().as_bytes()).unwrap();
             path
         })
         .collect();
@@ -589,6 +589,89 @@ fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
         generations.len() >= 2,
         "expected traffic across generations, saw {generations:?}"
     );
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reload that names a bad input is refused with `400 reload_failed`
+/// and leaves the serving generation untouched: a file in the retired
+/// version-1 layout, a truncated snapshot and a missing path each get the
+/// typed error, and afterwards the generation and every serve-intents
+/// body are exactly what they were before.
+#[test]
+fn failed_reloads_are_typed_400s_and_leave_the_generation_untouched() {
+    let (_system, handle) = start_default();
+    let mut client = HttpClient::connect(handle.addr()).unwrap();
+    let serve_bodies = |client: &mut HttpClient| -> Vec<String> {
+        ["sleeping bag", "tent"]
+            .iter()
+            .map(|q| {
+                let resp = client
+                    .request(
+                        "POST",
+                        "/v1/serve-intents",
+                        &ServeRequest::new(*q).to_json(),
+                    )
+                    .unwrap();
+                assert_eq!(resp.status, 200);
+                resp.body
+            })
+            .collect()
+    };
+    let version_before = client
+        .request("GET", "/v1/snapshot-version", "")
+        .unwrap()
+        .body;
+    let bodies_before = serve_bodies(&mut client);
+
+    let dir = std::env::temp_dir().join(format!("cosmo_bad_reload_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // version-1 header: magic, version 1, node/edge counts, arena length
+    // and checksum, then a payload
+    let mut v1 = b"COSMOKG\0".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.resize(v1.len() + 4 + 4 + 8 + 8 + 512, 0);
+    let v1_path = dir.join("old.snap");
+    std::fs::write(&v1_path, &v1).unwrap();
+    let frozen = test_kg().freeze();
+    let truncated_path = dir.join("truncated.kg2");
+    std::fs::write(
+        &truncated_path,
+        &frozen.as_bytes()[..frozen.as_bytes().len() / 2],
+    )
+    .unwrap();
+    let missing_path = dir.join("missing.kg2");
+
+    for (path, detail) in [
+        (&v1_path, "unsupported snapshot version 1"),
+        (&truncated_path, "corrupt snapshot"),
+        (&missing_path, "io error"),
+    ] {
+        let body = format!("{{\"path\":{:?}}}", path.display().to_string());
+        let resp = client.request("POST", "/ops/reload", &body).unwrap();
+        assert_eq!(resp.status, 400, "{}: {}", path.display(), resp.body);
+        let err = ErrorBody::from_json(&resp.body).expect("typed error body");
+        assert_eq!(err.error, "reload_failed");
+        assert!(
+            err.detail.contains(detail),
+            "{}: detail {:?} lacks {detail:?}",
+            path.display(),
+            err.detail
+        );
+    }
+
+    let version_after = client
+        .request("GET", "/v1/snapshot-version", "")
+        .unwrap()
+        .body;
+    assert_eq!(version_after, version_before);
+    assert_eq!(
+        SnapshotVersion::from_json(&version_after)
+            .unwrap()
+            .generation,
+        1
+    );
+    assert_eq!(serve_bodies(&mut client), bodies_before);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,12 +10,12 @@
 //! * **degree distribution** — the long-tail shape reports of the KG
 //!   statistics pages.
 //!
-//! All algorithms take a [`KgSnapshot`] and iterate its CSR slices directly
-//! — no temporary per-node adjacency vectors are materialised. Freeze a
-//! [`crate::store::KnowledgeGraph`] first (`kg.freeze()`); the freeze cost
-//! is amortised across every traversal that follows.
+//! All algorithms take a [`KgSnapshotView`] and iterate its CSR slices
+//! directly — no temporary per-node adjacency vectors are materialised.
+//! Freeze a [`crate::store::KnowledgeGraph`] first (`kg.freeze()`); the
+//! freeze cost is amortised across every traversal that follows.
 
-use crate::snapshot::KgSnapshot;
+use crate::snapshot::KgSnapshotView;
 use crate::store::NodeId;
 use cosmo_text::FxHashMap;
 
@@ -23,7 +23,7 @@ use cosmo_text::FxHashMap;
 ///
 /// Damping `d`, `iterations` rounds of synchronous updates; returns a score
 /// per node id (dense, indexed by `NodeId.0`). Deterministic.
-pub fn pagerank(snap: &KgSnapshot, d: f64, iterations: usize) -> Vec<f64> {
+pub fn pagerank(snap: &KgSnapshotView, d: f64, iterations: usize) -> Vec<f64> {
     let n = snap.num_nodes();
     if n == 0 {
         return Vec::new();
@@ -75,7 +75,7 @@ pub fn pagerank(snap: &KgSnapshot, d: f64, iterations: usize) -> Vec<f64> {
 
 /// Connected components over the undirected view: returns
 /// `(component id per node, number of components)`.
-pub fn connected_components(snap: &KgSnapshot) -> (Vec<usize>, usize) {
+pub fn connected_components(snap: &KgSnapshotView) -> (Vec<usize>, usize) {
     let n = snap.num_nodes();
     let edges = snap.edges();
     let mut comp = vec![usize::MAX; n];
@@ -110,7 +110,7 @@ pub fn connected_components(snap: &KgSnapshot) -> (Vec<usize>, usize) {
 }
 
 /// Size of the largest connected component.
-pub fn giant_component_size(snap: &KgSnapshot) -> usize {
+pub fn giant_component_size(snap: &KgSnapshotView) -> usize {
     let (comp, count) = connected_components(snap);
     let mut sizes = vec![0usize; count];
     for &c in &comp {
@@ -121,7 +121,7 @@ pub fn giant_component_size(snap: &KgSnapshot) -> usize {
 
 /// Degree histogram of the KG (`degree → node count`), for the long-tail
 /// shape diagnostics.
-pub fn degree_histogram(snap: &KgSnapshot) -> FxHashMap<usize, usize> {
+pub fn degree_histogram(snap: &KgSnapshotView) -> FxHashMap<usize, usize> {
     let mut hist: FxHashMap<usize, usize> = FxHashMap::default();
     for i in 0..snap.num_nodes() {
         let id = NodeId(i as u32);
@@ -132,7 +132,7 @@ pub fn degree_histogram(snap: &KgSnapshot) -> FxHashMap<usize, usize> {
 }
 
 /// Top-`k` intention nodes by PageRank, with scores.
-pub fn top_intents_global(snap: &KgSnapshot, k: usize) -> Vec<(NodeId, f64)> {
+pub fn top_intents_global(snap: &KgSnapshotView, k: usize) -> Vec<(NodeId, f64)> {
     use crate::schema::NodeKind;
     let rank = pagerank(snap, 0.85, 30);
     let mut scored: Vec<(NodeId, f64)> = (0..snap.num_nodes())

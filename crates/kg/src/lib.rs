@@ -2,23 +2,23 @@
 //!
 //! The COSMO knowledge graph: schema (15 relations of Table 2, node and
 //! behaviour kinds), an interned mutable store for the offline pipeline,
-//! a frozen CSR snapshot with a versioned binary format for the read side,
-//! per-category statistics (Tables 1 & 3), and the intent hierarchy of
-//! Figure 8 that powers search navigation.
+//! one frozen CSR format for the read side, per-category statistics
+//! (Tables 1 & 3), and the intent hierarchy of Figure 8 that powers
+//! search navigation.
 //!
 //! The pipeline in `cosmo-core` writes refined knowledge into a
-//! [`KnowledgeGraph`]; freezing it yields a [`KgSnapshot`] that
-//! `cosmo-serving` reads at request time and `cosmo-nav` walks via the
-//! [`IntentHierarchy`] for multi-turn navigation — both through the
-//! [`GraphView`] trait, which the mutable store also implements (and
-//! answers bitwise-identically). JSON (de)serialisation of the mutable
-//! store remains for offline interchange.
+//! [`KnowledgeGraph`], the only mutable store. Freezing it yields a
+//! [`KgSnapshotView`] that `cosmo-serving` reads at request time and
+//! `cosmo-nav` walks via the [`IntentHierarchy`] for multi-turn
+//! navigation — both through the [`GraphView`] trait, which the mutable
+//! store also implements (and answers bitwise-identically). JSON
+//! (de)serialisation of the mutable store remains for offline interchange.
 //!
-//! Snapshot files come in two format versions: the compact parse-on-load
-//! v1 ([`snapshot`]) and the 64-byte-aligned zero-copy v2
-//! ([`snapshot_v2`]) that [`MappedSnapshot`] serves straight out of
-//! memory-mapped file bytes. [`KgSnapshotView`] abstracts over both so
-//! the serving tier can hot-swap either kind.
+//! The frozen graph has one binary format ([`snapshot`]): 64-byte-aligned
+//! sections that [`KgSnapshotView`] serves in place, out of memory-mapped
+//! file bytes or the owned buffer [`KnowledgeGraph::freeze`] fills. It has
+//! one encoder, [`SnapshotStreamWriter`], which writes paper-scale graphs
+//! to disk through bounded spill runs and also backs `freeze`.
 //!
 //! `unsafe` is confined to the [`zerocopy`] cast seam (enforced by the
 //! workspace audit); the rest of the crate is `unsafe`-free.
@@ -27,7 +27,6 @@ pub mod algo;
 pub mod hierarchy;
 pub mod schema;
 pub mod snapshot;
-pub mod snapshot_v2;
 pub mod stats;
 pub mod store;
 pub mod stream_writer;
@@ -39,8 +38,7 @@ pub use algo::{
 };
 pub use hierarchy::IntentHierarchy;
 pub use schema::{BehaviorKind, NodeKind, Relation, TailType};
-pub use snapshot::{KgSnapshot, SnapshotError};
-pub use snapshot_v2::{KgSnapshotView, MappedSnapshot, Verify};
+pub use snapshot::{KgSnapshotView, SnapshotError, Verify, FORMAT_VERSION_V2};
 pub use stats::{summarize, CategoryRow, KgStats, KgSummary, CATEGORIES};
 pub use store::{Edge, EdgeId, KnowledgeGraph, Node, NodeId};
 pub use stream_writer::{SnapshotStreamWriter, StreamInterner, StreamOptions, StreamStats};

@@ -11,6 +11,8 @@
 //! powers reverse navigation from an intention to products.
 
 use crate::schema::{BehaviorKind, NodeKind, Relation};
+use crate::snapshot::{KgSnapshotView, Verify};
+use crate::stream_writer::{SnapshotStreamWriter, StreamInterner, StreamOptions};
 use cosmo_text::FxHashMap;
 use serde::{Deserialize, Serialize};
 
@@ -39,7 +41,7 @@ pub struct Node {
 /// offsets 5..8 and 14..16): the v2 snapshot writes this exact layout to
 /// disk and reads edges back as a borrowed `&[Edge]` over the mapped
 /// file, with no per-edge decode. The layout is locked by compile-time
-/// offset assertions in `cosmo_kg::snapshot_v2`.
+/// offset assertions in `cosmo_kg::snapshot`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[repr(C)]
 pub struct Edge {
@@ -127,7 +129,7 @@ impl KnowledgeGraph {
         // Adjacency lists are kept sorted — out by (relation, tail), in by
         // (head, relation) — so iteration order is a function of graph
         // *content*, not insertion history, and matches the frozen
-        // [`crate::snapshot::KgSnapshot`] CSR order exactly.
+        // [`KgSnapshotView`] CSR order exactly.
         let out = self.out_adj.entry(edge.head).or_default();
         let out_key = (edge.relation.index(), edge.tail);
         let pos = out.partition_point(|&e| {
@@ -225,9 +227,29 @@ impl KnowledgeGraph {
         crate::view::rank_intents(self.tails_of(head).collect(), k)
     }
 
-    /// Freeze into a read-optimised [`crate::snapshot::KgSnapshot`].
-    pub fn freeze(&self) -> crate::snapshot::KgSnapshot {
-        crate::snapshot::KgSnapshot::freeze(self)
+    /// Freeze into a read-optimised [`KgSnapshotView`]: the nodes in id
+    /// order and the edges go through the one snapshot encoder, which
+    /// finishes into an owned buffer — no disk is touched.
+    pub fn freeze(&self) -> KgSnapshotView {
+        let mut nodes = StreamInterner::new();
+        for (id, node) in self.nodes() {
+            let interned = nodes.intern(node.kind, &node.text);
+            debug_assert_eq!(interned, id, "store nodes are unique");
+        }
+        // A buffer no store can fill: the writer never spills.
+        let mut writer = SnapshotStreamWriter::new(StreamOptions {
+            buffer_edges: usize::MAX,
+            spill_dir: None,
+        });
+        let frozen = self
+            .edges
+            .iter()
+            .try_for_each(|e| writer.push(e.clone()))
+            .and_then(|()| writer.finish_in_memory(&nodes))
+            .and_then(|bytes| KgSnapshotView::from_bytes(bytes, Verify::Structural));
+        // PANIC: without spills the encode is pure in-memory work over
+        // the store's own dense u32 ids, so no I/O or range error exists
+        frozen.expect("in-memory freeze of a valid store")
     }
 
     /// Rebuild the skipped (non-serialised) indexes after deserialisation.

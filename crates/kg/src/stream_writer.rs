@@ -1,13 +1,14 @@
-//! Streaming v2 snapshot writer: freeze a paper-magnitude graph to disk
-//! without ever holding the merged edge list and the CSR arrays in memory
-//! at the same time.
+//! The snapshot encoder: freeze a paper-magnitude graph to disk without
+//! ever holding the merged edge list and the CSR arrays in memory at the
+//! same time.
 //!
-//! [`KgSnapshot::freeze`](crate::snapshot::KgSnapshot::freeze) +
-//! [`to_bytes_v2`](crate::snapshot::KgSnapshot::to_bytes_v2) need the whole
-//! mutable store, the sorted edge vector, *and* the serialised buffer
-//! resident at once — at COSMO scale (29M edges ≈ 800 MB of `Edge` plus the
-//! store's per-edge index entries) that multiplies into many gigabytes. The
-//! streaming pair in this module caps the resident set:
+//! Freezing through the mutable store needs the whole store and the
+//! serialised buffer resident at once — at COSMO scale (29M edges ≈ 800 MB
+//! of `Edge` plus the store's per-edge index entries) that multiplies into
+//! many gigabytes. The streaming pair in this module caps the resident
+//! set, and is also the one encoder
+//! [`KnowledgeGraph::freeze`](crate::store::KnowledgeGraph::freeze) runs
+//! (with a buffer that never spills, finishing into memory):
 //!
 //! * [`StreamInterner`] — node interning straight into the final arena
 //!   layout (kinds + text offsets + one concatenated `String`), indexed by
@@ -21,8 +22,9 @@
 //!   strictly front to back through a checksumming writer. Duplicate keys
 //!   are folded exactly like `KnowledgeGraph::add_edge` (first arrival kept,
 //!   `support += max(s,1)`, score maxima), so the emitted file is
-//!   **byte-identical** to `freeze().to_bytes_v2()` of a store fed the same
-//!   intern/edge sequence — locked by the unit and property tests below.
+//!   **byte-identical** to `freeze()` of a store fed the same intern/edge
+//!   sequence — locked by the unit and property tests below, and by
+//!   pinned digests of the bytes.
 //!
 //! Peak memory is `O(buffer + n)` — the edge buffer window, the interner
 //! arena, the two `(n+1)` offset arrays, the `m × u32` in-edge permutation
@@ -33,10 +35,10 @@
 //! header checksum equals `hash_bytes(&file[64..])` without a second read.
 
 use crate::schema::{NodeKind, Relation};
-use crate::snapshot::{behavior_from_u8, behavior_to_u8, kind_to_u8, SnapshotError, MAGIC};
-use crate::snapshot_v2::{
-    align_up, section_lens, EDGE_SIZE, FIRST_SECTION_OFF, FORMAT_VERSION_V2, HEADER_LEN_V2,
-    LOOKUP_SIZE, SECTION_COUNT, TABLE_OFF,
+use crate::snapshot::{
+    align_up, behavior_from_u8, behavior_to_u8, kind_to_u8, section_lens, SnapshotError, EDGE_SIZE,
+    FIRST_SECTION_OFF, FORMAT_VERSION_V2, HEADER_LEN_V2, LOOKUP_SIZE, MAGIC, SECTION_COUNT,
+    TABLE_OFF,
 };
 use crate::store::{Edge, NodeId};
 use cosmo_text::hash::{hash_bytes, hash_bytes_ns, FxHasher};
@@ -86,6 +88,9 @@ pub struct StreamStats {
     /// Final snapshot file size in bytes.
     pub file_bytes: u64,
 }
+
+/// Byte offset of the header's checksum field.
+const CHECKSUM_OFF: usize = 40;
 
 /// Monotonic tag so concurrent writers in one process never share a spill
 /// directory.
@@ -206,7 +211,7 @@ impl StreamInterner {
     }
 }
 
-/// CSR sort key of an edge — must match `KgSnapshot::freeze`'s sort.
+/// CSR sort key of an edge: the order of the snapshot's edge section.
 #[inline]
 fn edge_key(e: &Edge) -> (u32, u8, u32) {
     (e.head.0, e.relation.index() as u8, e.tail.0)
@@ -509,13 +514,42 @@ impl SnapshotStreamWriter {
         Ok(cursors)
     }
 
-    /// Merge the runs and write the finished v2 snapshot to `path`,
-    /// byte-identical to `freeze().to_bytes_v2()` over the same sequence.
+    /// Merge the runs and write the finished snapshot to `path`, flushed
+    /// and synced to disk.
     pub fn finish(
         mut self,
         nodes: &StreamInterner,
         path: &Path,
     ) -> Result<StreamStats, SnapshotError> {
+        let file = File::create(path)?;
+        let (w, checksum, stats) = self.encode(nodes, BufWriter::with_capacity(1 << 20, file))?;
+        let mut file = w
+            .into_inner()
+            .map_err(|e| SnapshotError::Io(e.into_error()))?;
+        file.seek(SeekFrom::Start(CHECKSUM_OFF as u64))?;
+        file.write_all(&checksum.to_le_bytes())?;
+        file.sync_all()?;
+        Ok(stats)
+    }
+
+    /// Merge the runs into an in-memory snapshot buffer.
+    pub(crate) fn finish_in_memory(
+        mut self,
+        nodes: &StreamInterner,
+    ) -> Result<Vec<u8>, SnapshotError> {
+        let (mut bytes, checksum, _) = self.encode(nodes, Vec::new())?;
+        bytes[CHECKSUM_OFF..CHECKSUM_OFF + 8].copy_from_slice(&checksum.to_le_bytes());
+        Ok(bytes)
+    }
+
+    /// Lay out and encode the snapshot into `sink`, front to back. The
+    /// header's checksum field is left zero; the digest is returned for
+    /// the caller to patch in at [`CHECKSUM_OFF`].
+    fn encode<W: Write>(
+        &mut self,
+        nodes: &StreamInterner,
+        sink: W,
+    ) -> Result<(W, u64, StreamStats), SnapshotError> {
         let n = nodes.len();
         sort_run(&mut self.buffer);
 
@@ -545,7 +579,8 @@ impl SnapshotStreamWriter {
             in_offsets[i] += in_offsets[i - 1];
         }
 
-        // Layout, exactly as `to_bytes_v2` computes it.
+        // Layout: each section starts where the previous one ends, rounded
+        // up to the alignment boundary — the rule the reader checks.
         let lens = section_lens(n, m, nodes.arena.len())?;
         let mut offsets = [0usize; SECTION_COUNT];
         let mut cursor = FIRST_SECTION_OFF;
@@ -569,8 +604,7 @@ impl SnapshotStreamWriter {
             .collect();
         lookup.sort_unstable();
 
-        let file = File::create(path)?;
-        let mut w = HashingWriter::new(BufWriter::with_capacity(1 << 20, file));
+        let mut w = HashingWriter::new(sink);
 
         // Header — excluded from the checksum, which is patched in last.
         let mut header = [0u8; HEADER_LEN_V2];
@@ -607,9 +641,9 @@ impl SnapshotStreamWriter {
         w.pad_to(offsets[3] as u64)?;
 
         // Section 3: edges — pass 2 re-merges the runs, writing each merged
-        // record straight to the file while the in-edge permutation (the
-        // only m-sized array this pass materialises) fills via the cursor
-        // counting sort `freeze` uses.
+        // record straight to the sink while the in-edge permutation (the
+        // only m-sized array this pass materialises) fills by a counting
+        // sort on the tail, stable in edge index.
         let mut in_edges = vec![0u32; m];
         let mut in_cursor = in_offsets.clone();
         let mut next_index: u64 = 0;
@@ -651,22 +685,15 @@ impl SnapshotStreamWriter {
             return Err(SnapshotError::Corrupt("streamed section sizes drifted"));
         }
         let checksum = w.finish_hash();
-        let mut file = w
-            .inner
-            .into_inner()
-            .map_err(|e| SnapshotError::Io(e.into_error()))?;
-        file.seek(SeekFrom::Start(40))?;
-        file.write_all(&checksum.to_le_bytes())?;
-        file.sync_all()?;
-
-        Ok(StreamStats {
+        let stats = StreamStats {
             nodes: n,
             edges: m,
             raw_edges: self.raw_edges,
             spill_runs: self.runs.len(),
             spilled_bytes: self.spilled_bytes,
             file_bytes: total_len as u64,
-        })
+        };
+        Ok((w.inner, checksum, stats))
     }
 }
 
@@ -697,7 +724,7 @@ fn write_u32s_chunked<W: Write>(
 mod tests {
     use super::*;
     use crate::schema::BehaviorKind;
-    use crate::snapshot_v2::{MappedSnapshot, Verify};
+    use crate::snapshot::{KgSnapshotView, Verify};
     use crate::store::KnowledgeGraph;
     use proptest::prelude::*;
 
@@ -724,8 +751,10 @@ mod tests {
         ))
     }
 
-    /// Feed `ops` to both freeze paths and assert byte identity.
-    fn assert_byte_identical(tag: &str, ops: &[Op], buffer_edges: usize) {
+    /// Feed `ops` to the store and to a file-backed streaming writer and
+    /// assert the file is byte-identical to the store's `freeze()`.
+    /// Returns the file bytes.
+    fn assert_byte_identical(tag: &str, ops: &[Op], buffer_edges: usize) -> Vec<u8> {
         let mut kg = KnowledgeGraph::new();
         let mut interner = StreamInterner::new();
         let mut writer = SnapshotStreamWriter::new(StreamOptions {
@@ -756,25 +785,39 @@ mod tests {
         let stats = writer.finish(&interner, &out).unwrap();
         let streamed = std::fs::read(&out).unwrap();
         let _ = std::fs::remove_file(&out);
-        let expect = kg.freeze().to_bytes_v2();
+        let frozen = kg.freeze();
+        let expect = frozen.as_bytes();
         assert_eq!(stats.edges, kg.num_edges());
         assert_eq!(stats.nodes, kg.num_nodes());
         assert_eq!(stats.file_bytes as usize, expect.len());
         if streamed != expect {
             let at = streamed
                 .iter()
-                .zip(&expect)
+                .zip(expect)
                 .position(|(a, b)| a != b)
                 .unwrap_or(streamed.len().min(expect.len()));
             panic!(
-                "streamed snapshot differs from to_bytes_v2: lens {} vs {}, first diff at byte {}",
+                "streamed snapshot differs from freeze(): lens {} vs {}, first diff at byte {}",
                 streamed.len(),
                 expect.len(),
                 at
             );
         }
         // And the streamed file must hold up under the strictest decoder.
-        MappedSnapshot::from_bytes(streamed, Verify::Full).unwrap();
+        KgSnapshotView::from_bytes(streamed.clone(), Verify::Full).unwrap();
+        streamed
+    }
+
+    /// Length and `hash_bytes` digest of the bytes the earlier owned-CSR
+    /// encoder produced for the same op sequence: the reference both the
+    /// file sink and the in-memory freeze are held to.
+    fn assert_pinned(bytes: &[u8], len: usize, digest: u64) {
+        assert_eq!(bytes.len(), len, "snapshot length drifted");
+        assert_eq!(
+            hash_bytes(bytes),
+            digest,
+            "snapshot bytes drifted from the pinned reference"
+        );
     }
 
     fn op(head_kind: NodeKind, head: &str, rel: usize, tail: &str, p: f32, ty: f32) -> Op {
@@ -792,7 +835,8 @@ mod tests {
 
     #[test]
     fn empty_graph_byte_identical() {
-        assert_byte_identical("empty", &[], 4);
+        let bytes = assert_byte_identical("empty", &[], 4);
+        assert_pinned(&bytes, 384, 0x6d4b_e6b7_198d_c11e);
     }
 
     #[test]
@@ -816,7 +860,8 @@ mod tests {
         let streamed = std::fs::read(&out).unwrap();
         let _ = std::fs::remove_file(&out);
         assert_eq!(stats.edges, 0);
-        assert_eq!(streamed, kg.freeze().to_bytes_v2());
+        assert_eq!(streamed, kg.freeze().as_bytes());
+        assert_pinned(&streamed, 560, 0x67a8_9585_28f4_c6ff);
     }
 
     #[test]
@@ -848,7 +893,8 @@ mod tests {
             ),
             op(NodeKind::Query, "rain jacket", 1, "staying dry", 0.95, 0.9),
         ];
-        assert_byte_identical("no-spill", &ops, 1 << 20);
+        let bytes = assert_byte_identical("no-spill", &ops, 1 << 20);
+        assert_pinned(&bytes, 864, 0xfec4_8437_14e8_4a56);
     }
 
     #[test]
@@ -871,7 +917,8 @@ mod tests {
                 (i % 10) as f32 * 0.1,
             ));
         }
-        assert_byte_identical("spill", &ops, 8);
+        let bytes = assert_byte_identical("spill", &ops, 8);
+        assert_pinned(&bytes, 4832, 0x5688_2fd3_492e_0d0d);
     }
 
     #[test]
@@ -893,7 +940,8 @@ mod tests {
                 ops.push(o);
             }
         }
-        assert_byte_identical("dups", &ops, 4);
+        let bytes = assert_byte_identical("dups", &ops, 4);
+        assert_pinned(&bytes, 768, 0xeef8_2b3b_b872_bae5);
     }
 
     #[test]
@@ -909,7 +957,8 @@ mod tests {
             ),
             op(NodeKind::Product, "帐篷", 4, "野营之旅", 0.9, 0.6),
         ];
-        assert_byte_identical("utf8", &ops, 1);
+        let bytes = assert_byte_identical("utf8", &ops, 1);
+        assert_pinned(&bytes, 704, 0xe243_398d_276e_f43c);
     }
 
     #[test]

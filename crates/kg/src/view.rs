@@ -4,11 +4,11 @@
 //! The serving tier (feature computation, navigation, hierarchy building)
 //! only ever *reads* the graph, so it is written against [`GraphView`] and
 //! works identically over the append-oriented [`KnowledgeGraph`] builder and
-//! the read-optimised [`crate::snapshot::KgSnapshot`]. Both implementations
-//! enumerate adjacency in the same content-determined order — out-edges by
-//! (relation, tail), in-edges by (head, relation) — so every answer,
-//! including float-ranked ones, is bitwise-identical across the two backends
-//! (locked by the snapshot property tests).
+//! the read-optimised [`crate::snapshot::KgSnapshotView`]. Both
+//! implementations enumerate adjacency in the same content-determined order
+//! — out-edges by (relation, tail), in-edges by (head, relation) — so every
+//! answer, including float-ranked ones, is bitwise-identical across the two
+//! backends (locked by the snapshot property tests).
 
 use crate::schema::{NodeKind, Relation};
 use crate::store::{Edge, KnowledgeGraph, NodeId};
@@ -105,7 +105,7 @@ impl GraphView for KnowledgeGraph {
 }
 
 /// Shared-ownership views serve like their referent: the HTTP front end
-/// and other long-lived services hold `Arc<KgSnapshot>` and want to pass
+/// and other long-lived services hold `Arc<KgSnapshotView>` and want to pass
 /// it straight to `GraphView`-generic consumers (navigation, feature
 /// computation) without re-borrowing games.
 impl<G: GraphView> GraphView for std::sync::Arc<G> {

@@ -8,7 +8,7 @@
 //! 1. **Mechanical checks here**: alignment and length-divisibility are
 //!    verified on every call; a misaligned or ragged buffer returns
 //!    `None` instead of casting.
-//! 2. **Semantic validation at load time** (`crate::snapshot_v2`): for
+//! 2. **Semantic validation at load time** (`crate::snapshot`): for
 //!    types with invalid bit patterns (`Edge`'s enums, the arena's UTF-8)
 //!    the decoder scans the raw bytes *before* the first typed access and
 //!    refuses the snapshot otherwise. The `Pod` impls below document the
@@ -26,7 +26,7 @@ use crate::store::Edge;
 /// Implementors must be `repr(C)`/`repr(transparent)`/primitive with a
 /// stable layout, contain no pointers, and — when the type has invalid
 /// bit patterns (field-less enums) — may only be cast over buffers whose
-/// enum bytes were validated beforehand, as `snapshot_v2` does during
+/// enum bytes were validated beforehand, as `snapshot` does during
 /// its load-time scans.
 // SAFETY: implementors uphold the contract in the doc comment above.
 pub(crate) unsafe trait Pod: Sized {}
@@ -47,7 +47,7 @@ unsafe impl Pod for NodeKind {}
 // bytes are never read through the typed view.
 unsafe impl Pod for Edge {}
 
-/// Compile-time layout pins for [`LookupRec`] (see `snapshot_v2`).
+/// Compile-time layout pins for [`LookupRec`] (see `snapshot`).
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LookupRec {
@@ -87,7 +87,7 @@ pub(crate) fn cast_slice<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
 /// View UTF-8-validated arena bytes as `&str` without re-validating.
 ///
 /// The caller must have run `std::str::from_utf8` over the *whole* arena
-/// at load time (as `snapshot_v2` does); per-access re-validation is what
+/// at load time (as `snapshot` does); per-access re-validation is what
 /// this path exists to avoid. Debug builds re-check.
 pub(crate) fn str_from_validated(bytes: &[u8]) -> &str {
     debug_assert!(std::str::from_utf8(bytes).is_ok());

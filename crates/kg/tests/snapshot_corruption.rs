@@ -2,20 +2,17 @@
 //! flipped, or truncated anywhere, must come back as a clean
 //! [`SnapshotError`] — never a panic, never a silently-wrong graph.
 //!
-//! Both formats are covered: the v1 copying decoder
-//! ([`KgSnapshot::from_bytes`]) and the v2 zero-copy validator behind
-//! [`KgSnapshotView`] / [`MappedSnapshot`], at both verification levels.
-//! The v2 `Structural` level is the production `open` path, so it gets
-//! the same treatment as `Full`.
+//! The zero-copy validator behind [`KgSnapshotView`] is covered at both
+//! verification levels. The `Structural` level is the production `open`
+//! path, so it gets the same treatment as `Full`.
 //!
 //! Skipped under Miri: proptest's case generation is far too slow in the
-//! interpreter; the decoders' unit tests in `src/snapshot*.rs` cover the
+//! interpreter; the decoder's unit tests in `src/snapshot.rs` cover the
 //! same code paths there.
 #![cfg(not(miri))]
 
 use cosmo_kg::{
-    BehaviorKind, Edge, KgSnapshot, KnowledgeGraph, MappedSnapshot, NodeId, NodeKind, Relation,
-    Verify,
+    BehaviorKind, Edge, KgSnapshotView, KnowledgeGraph, NodeId, NodeKind, Relation, Verify,
 };
 use proptest::prelude::*;
 
@@ -51,35 +48,20 @@ fn fixture() -> KnowledgeGraph {
     kg
 }
 
-fn v1_bytes() -> Vec<u8> {
-    fixture().freeze().to_bytes()
-}
-
 fn v2_bytes() -> Vec<u8> {
-    fixture().freeze().to_bytes_v2()
+    fixture().freeze().as_bytes().to_vec()
 }
 
-/// Every decoder the crate ships, over one byte buffer. Each call either
-/// succeeds or returns `Err` — reaching the end of this function without
-/// unwinding is the property under test.
+/// The decoder at every verification level, over one byte buffer. Each
+/// call either succeeds or returns `Err` — reaching the end of this
+/// function without unwinding is the property under test.
 fn decode_all(bytes: &[u8]) {
-    let _ = KgSnapshot::from_bytes(bytes);
-    let _ = MappedSnapshot::from_bytes(bytes.to_vec(), Verify::Structural);
-    let _ = MappedSnapshot::from_bytes(bytes.to_vec(), Verify::Full);
+    let _ = KgSnapshotView::from_bytes(bytes.to_vec(), Verify::Structural);
+    let _ = KgSnapshotView::from_bytes(bytes.to_vec(), Verify::Full);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn v1_single_byte_corruption_is_a_clean_error(pos in 0usize..4096, xor in 1u8..=255) {
-        let mut bytes = v1_bytes();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= xor;
-        // the checksum covers the payload, so v1 Full decode must refuse
-        prop_assert!(KgSnapshot::from_bytes(&bytes).is_err());
-        decode_all(&bytes);
-    }
 
     #[test]
     fn v2_single_byte_corruption_never_panics(pos in 0usize..16384, xor in 1u8..=255) {
@@ -87,11 +69,11 @@ proptest! {
         let pos = pos % bytes.len();
         bytes[pos] ^= xor;
         // Full verification recomputes the checksum → always an error.
-        prop_assert!(MappedSnapshot::from_bytes(bytes.clone(), Verify::Full).is_err());
+        prop_assert!(KgSnapshotView::from_bytes(bytes.clone(), Verify::Full).is_err());
         // Structural skips the checksum for O(1)-ish opens; a flipped
         // float payload byte can legitimately pass, but it must never
         // panic and never produce an out-of-bounds graph.
-        if let Ok(snap) = MappedSnapshot::from_bytes(bytes.clone(), Verify::Structural) {
+        if let Ok(snap) = KgSnapshotView::from_bytes(bytes.clone(), Verify::Structural) {
             let n = snap.num_nodes();
             for e in snap.edges() {
                 prop_assert!((e.head.0 as usize) < n && (e.tail.0 as usize) < n);
@@ -104,12 +86,13 @@ proptest! {
     }
 
     #[test]
-    fn truncation_is_a_clean_error(which in 0..2, keep_frac in 0.0f64..1.0) {
-        let bytes = if which == 0 { v1_bytes() } else { v2_bytes() };
+    fn truncation_is_a_clean_error(keep_frac in 0.0f64..1.0) {
+        let bytes = v2_bytes();
         let keep = ((bytes.len() as f64) * keep_frac) as usize;
         let truncated = &bytes[..keep.min(bytes.len().saturating_sub(1))];
-        prop_assert!(KgSnapshot::from_bytes(truncated).is_err());
-        decode_all(truncated);
+        for verify in [Verify::Structural, Verify::Full] {
+            prop_assert!(KgSnapshotView::from_bytes(truncated.to_vec(), verify).is_err());
+        }
     }
 
     #[test]
@@ -122,9 +105,12 @@ proptest! {
 fn uncorrupted_blobs_still_round_trip() {
     // guards the fixtures above: if encoding broke, every corruption
     // "rejection" would be vacuous
-    let snap = fixture().freeze();
-    let v1 = KgSnapshot::from_bytes(&snap.to_bytes()).expect("v1 round trip");
-    assert_eq!(v1.num_edges(), snap.num_edges());
-    let v2 = MappedSnapshot::from_bytes(snap.to_bytes_v2(), Verify::Full).expect("v2 round trip");
-    assert_eq!(v2.num_edges(), snap.num_edges());
+    let kg = fixture();
+    let bytes = v2_bytes();
+    let v2 = KgSnapshotView::from_bytes(bytes.clone(), Verify::Full).expect("v2 round trip");
+    assert_eq!(v2.num_edges(), kg.num_edges());
+    // length and digest of the bytes the earlier owned-CSR encoder wrote
+    // for this fixture
+    assert_eq!(bytes.len(), 2704);
+    assert_eq!(cosmo_text::hash::hash_bytes(&bytes), 0x8662_8649_0f5c_2889);
 }

@@ -42,7 +42,7 @@ impl Suggestion {
 ///
 /// Generic over the graph backend: the mutable [`KnowledgeGraph`] builder
 /// (the default, for tests and offline tooling) and the frozen
-/// [`cosmo_kg::KgSnapshot`] (production serving) yield identical
+/// [`cosmo_kg::KgSnapshotView`] (production serving) yield identical
 /// suggestions — both enumerate adjacency in the same content-determined
 /// order.
 pub struct NavigationEngine<G: GraphView = KnowledgeGraph> {

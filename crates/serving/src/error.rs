@@ -34,7 +34,7 @@ impl fmt::Display for ServingError {
             ServingError::MissingKnowledgeGraph => {
                 write!(
                     f,
-                    "serving system builder needs a knowledge graph (call .kg(...))"
+                    "serving system builder needs a knowledge graph (call .view(...))"
                 )
             }
             ServingError::MissingModel => {

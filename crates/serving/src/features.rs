@@ -50,7 +50,7 @@ const STRONG_INTENT_MARGIN: f32 = 0.3;
 /// student embedding as the subcategory representation.
 ///
 /// Generic over the graph backend: the mutable [`cosmo_kg::KnowledgeGraph`]
-/// and the frozen [`cosmo_kg::KgSnapshot`] produce bitwise-identical
+/// and the frozen [`cosmo_kg::KgSnapshotView`] produce bitwise-identical
 /// features (both enumerate adjacency in the same content-determined
 /// order); production serving uses the snapshot.
 pub fn compute_features<G: GraphView>(query: &str, kg: &G, lm: &CosmoLm) -> StructuredFeatures {

@@ -33,7 +33,7 @@
 //!
 //! ```text
 //! let system = ServingSystem::builder()
-//!     .kg(kg)
+//!     .view(kg.freeze())
 //!     .lm(lm)
 //!     .preload(["camping", "hiking gear"])
 //!     .shards(16)

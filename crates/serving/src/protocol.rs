@@ -834,7 +834,7 @@ impl NavigateResponse {
 pub struct SnapshotVersion {
     /// Wire schema version ([`PROTOCOL_VERSION`]).
     pub protocol_version: u32,
-    /// Binary snapshot format version (`cosmo_kg::snapshot::FORMAT_VERSION`).
+    /// Binary snapshot format version (`cosmo_kg::snapshot::FORMAT_VERSION_V2`).
     pub format_version: u32,
     /// Node count.
     pub nodes: u64,

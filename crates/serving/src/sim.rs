@@ -273,11 +273,10 @@ mod tests {
             StudentConfig::default(),
             vec![("sleeping outdoors".into(), Some(Relation::UsedForFunc))],
         ));
-        let kg = Arc::new(KnowledgeGraph::new());
         let universe = query_universe(cfg);
         let preload: Vec<String> = universe.into_iter().take(preload_top).collect();
         ServingSystem::builder()
-            .kg(kg)
+            .view(KnowledgeGraph::new().freeze())
             .lm(lm)
             .preload(preload)
             .config(ServingConfig {

@@ -79,9 +79,7 @@ mod tests {
     fn generation(n: u64) -> SnapshotGeneration {
         SnapshotGeneration {
             generation: n,
-            view: Arc::new(KgSnapshotView::Owned(
-                cosmo_kg::KnowledgeGraph::new().freeze(),
-            )),
+            view: Arc::new(cosmo_kg::KnowledgeGraph::new().freeze()),
             cache: CacheStore::new(Vec::new(), CacheConfig::default()),
             features: FeatureStore::with_shards(2),
         }

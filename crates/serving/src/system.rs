@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! let system = ServingSystem::builder()
-//!     .kg(kg)
+//!     .view(kg.freeze())
 //!     .lm(lm)
 //!     .preload(hot_queries)
 //!     .workers(8)
@@ -38,7 +38,7 @@ pub use crate::histogram::LatencyRecorder;
 use crate::protocol::{OpsStats, ServeRequest, ServeResponse, ServeStatus, OPS_VERSION};
 use crate::swap::{SnapshotGeneration, SnapshotHandle};
 use cosmo_exec::{ChunkResult, WorkerPool};
-use cosmo_kg::{KgSnapshot, KgSnapshotView, KnowledgeGraph};
+use cosmo_kg::KgSnapshotView;
 use cosmo_lm::CosmoLm;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,8 +180,6 @@ pub(crate) const PANIC_QUERY: &str = "__cosmo_injected_worker_panic__";
 /// only way to construct a system.
 #[derive(Default)]
 pub struct ServingSystemBuilder {
-    kg: Option<Arc<KnowledgeGraph>>,
-    snapshot: Option<Arc<KgSnapshot>>,
     view: Option<KgSnapshotView>,
     lm: Option<Arc<CosmoLm>>,
     preload: Vec<String>,
@@ -189,30 +187,10 @@ pub struct ServingSystemBuilder {
 }
 
 impl ServingSystemBuilder {
-    /// Knowledge graph backing feature computation. Frozen into a
-    /// [`KgSnapshot`] at build time — serving only ever reads the graph,
-    /// and the CSR snapshot answers lookups several times faster than the
-    /// hashmap-backed builder. Pass a pre-frozen (or file-loaded) snapshot
-    /// via [`ServingSystemBuilder::snapshot`] to skip the freeze; one of
-    /// the two is required.
-    pub fn kg(mut self, kg: Arc<KnowledgeGraph>) -> Self {
-        self.kg = Some(kg);
-        self
-    }
-
-    /// Frozen knowledge-graph snapshot backing feature computation —
-    /// typically loaded from a file written offline ([`KgSnapshot::load`]),
-    /// mirroring the paper's offline-materialise → online-serve boundary.
-    /// Takes precedence over [`ServingSystemBuilder::kg`].
-    pub fn snapshot(mut self, snapshot: Arc<KgSnapshot>) -> Self {
-        self.snapshot = Some(snapshot);
-        self
-    }
-
-    /// Snapshot view of either format version — the way to serve a
-    /// zero-copy mapped v2 file ([`KgSnapshotView::open`]). Takes
-    /// precedence over [`ServingSystemBuilder::snapshot`] and
-    /// [`ServingSystemBuilder::kg`].
+    /// The frozen knowledge graph backing feature computation (required)
+    /// — a file written offline and opened with [`KgSnapshotView::open`],
+    /// mirroring the paper's offline-materialise → online-serve boundary,
+    /// or an in-memory `KnowledgeGraph::freeze()`.
     pub fn view(mut self, view: KgSnapshotView) -> Self {
         self.view = Some(view);
         self
@@ -286,14 +264,7 @@ impl ServingSystemBuilder {
     /// spawn the worker pool, and assemble the system.
     pub fn build(self) -> Result<ServingSystem, ServingError> {
         self.cfg.validate()?;
-        let view = match (self.view, self.snapshot, self.kg) {
-            (Some(view), _, _) => view,
-            (None, Some(snapshot), _) => {
-                KgSnapshotView::Owned(Arc::try_unwrap(snapshot).unwrap_or_else(|a| (*a).clone()))
-            }
-            (None, None, Some(kg)) => KgSnapshotView::Owned(kg.freeze()),
-            (None, None, None) => return Err(ServingError::MissingKnowledgeGraph),
-        };
+        let view = self.view.ok_or(ServingError::MissingKnowledgeGraph)?;
         let lm = self.lm.ok_or(ServingError::MissingModel)?;
         let generation =
             ServingSystem::build_generation(1, Arc::new(view), &self.preload, &self.cfg, &lm);
@@ -613,10 +584,10 @@ impl ServingSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosmo_kg::Relation;
+    use cosmo_kg::{KnowledgeGraph, Relation};
     use cosmo_lm::StudentConfig;
 
-    fn parts() -> (Arc<KnowledgeGraph>, Arc<CosmoLm>) {
+    fn parts() -> (KgSnapshotView, Arc<CosmoLm>) {
         let lm = Arc::new(CosmoLm::new(
             StudentConfig::default(),
             vec![
@@ -624,13 +595,13 @@ mod tests {
                 ("keeping warm".into(), Some(Relation::CapableOf)),
             ],
         ));
-        (Arc::new(KnowledgeGraph::new()), lm)
+        (KnowledgeGraph::new().freeze(), lm)
     }
 
     fn system(preload: &[&str]) -> ServingSystem {
         let (kg, lm) = parts();
         ServingSystem::builder()
-            .kg(kg)
+            .view(kg)
             .lm(lm)
             .preload(preload.iter().copied())
             .workers(2)
@@ -736,7 +707,7 @@ mod tests {
     fn rejected_miss_is_surfaced_in_response() {
         let (kg, lm) = parts();
         let sys = ServingSystem::builder()
-            .kg(kg)
+            .view(kg)
             .lm(lm)
             .shards(1)
             .pending_bound(1)
@@ -771,7 +742,7 @@ mod tests {
     #[test]
     fn builder_validates_config() {
         let (kg, lm) = parts();
-        let err = ServingSystem::builder().kg(kg).lm(lm).workers(0).build();
+        let err = ServingSystem::builder().view(kg).lm(lm).workers(0).build();
         assert!(matches!(err, Err(ServingError::InvalidConfig(_))));
     }
 
@@ -783,7 +754,7 @@ mod tests {
             Some(ServingError::MissingKnowledgeGraph)
         );
         assert_eq!(
-            ServingSystem::builder().kg(kg).build().err(),
+            ServingSystem::builder().view(kg).build().err(),
             Some(ServingError::MissingModel)
         );
     }

@@ -1,7 +1,7 @@
 //! Concurrency stress tests and histogram property tests for the sharded
 //! serving hot path.
 
-use cosmo_kg::{KnowledgeGraph, Relation};
+use cosmo_kg::{KgSnapshotView, KnowledgeGraph, Relation};
 use cosmo_lm::{CosmoLm, StudentConfig};
 use cosmo_serving::{
     bucket_index, AdmissionPolicy, LatencyRecorder, ServingConfig, ServingError, ServingSystem,
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-fn parts() -> (Arc<KnowledgeGraph>, Arc<CosmoLm>) {
+fn parts() -> (KgSnapshotView, Arc<CosmoLm>) {
     let lm = Arc::new(CosmoLm::new(
         StudentConfig::default(),
         vec![
@@ -18,13 +18,13 @@ fn parts() -> (Arc<KnowledgeGraph>, Arc<CosmoLm>) {
             ("keeping warm".into(), Some(Relation::CapableOf)),
         ],
     ));
-    (Arc::new(KnowledgeGraph::new()), lm)
+    (KnowledgeGraph::new().freeze(), lm)
 }
 
 fn build(cfg: ServingConfig, preload: &[&str]) -> ServingSystem {
     let (kg, lm) = parts();
     ServingSystem::builder()
-        .kg(kg)
+        .view(kg)
         .lm(lm)
         .preload(preload.iter().copied())
         .config(cfg)
@@ -225,7 +225,7 @@ fn builder_rejects_zero_fields() {
     ] {
         assert!(cfg.validate().is_err(), "{cfg:?} must be rejected");
         let (kg, lm) = parts();
-        let err = ServingSystem::builder().kg(kg).lm(lm).config(cfg).build();
+        let err = ServingSystem::builder().view(kg).lm(lm).config(cfg).build();
         assert!(matches!(err, Err(ServingError::InvalidConfig(_))));
     }
     assert!(ServingConfig::default().validate().is_ok());

@@ -32,7 +32,7 @@ fn main() {
     );
     student.train(&instructions);
     let system = ServingSystem::builder()
-        .kg(Arc::new(out.kg.clone()))
+        .view(out.kg.freeze())
         .lm(Arc::new(student))
         .build()
         .expect("default serving config is valid");

@@ -67,7 +67,7 @@ fn main() {
         tail_vocab_from_pipeline(&out),
     ));
     let system = ServingSystem::builder()
-        .snapshot(Arc::new(out.kg.freeze()))
+        .view(out.kg.freeze())
         .lm(lm)
         .preload([query.1.clone()])
         .build()

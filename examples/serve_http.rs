@@ -33,7 +33,7 @@ fn main() {
         .collect();
     let system = Arc::new(
         ServingSystem::builder()
-            .snapshot(Arc::new(out.kg.freeze()))
+            .view(out.kg.freeze())
             .lm(Arc::new(student))
             .preload(preload.clone())
             .build()

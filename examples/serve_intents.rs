@@ -29,7 +29,7 @@ fn main() {
     });
     let preload: Vec<String> = hot.iter().take(50).map(|q| q.text.clone()).collect();
     let system = ServingSystem::builder()
-        .snapshot(Arc::new(out.kg.freeze()))
+        .view(out.kg.freeze())
         .lm(Arc::new(student))
         .preload(preload.clone())
         .build()

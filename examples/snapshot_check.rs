@@ -1,19 +1,21 @@
 //! Snapshot-format compatibility gate (run by `scripts/tier1.sh`).
 //!
-//! Builds a deterministic synthetic graph, freezes it into the versioned
-//! binary snapshot, saves and reloads it, and verifies the reload answers
-//! read queries identically to the builder store. The header constants are
-//! asserted against hard-coded expected bytes so that any accidental
-//! format change (magic, version, layout) fails the gate instead of
-//! silently invalidating snapshots written by earlier builds.
+//! Builds a deterministic synthetic graph, freezes it in memory, streams
+//! the same intern/edge sequence to a file through the spilling writer,
+//! opens the file at full verification, and checks that both copies are
+//! the same bytes and answer read queries identically to the builder
+//! store. The header constants are asserted against hard-coded expected
+//! bytes so that any accidental format change (magic, version, layout)
+//! fails the gate instead of silently invalidating snapshots written by
+//! earlier builds, and a corrupted file must be refused.
 //!
 //! ```text
 //! cargo run --release --example snapshot_check
 //! ```
 
 use cosmo::kg::{
-    BehaviorKind, Edge, GraphView, KgSnapshot, KgSnapshotView, KnowledgeGraph, MappedSnapshot,
-    NodeKind, Relation, Verify,
+    BehaviorKind, Edge, GraphView, KgSnapshotView, KnowledgeGraph, NodeKind, Relation,
+    SnapshotStreamWriter, StreamInterner, StreamOptions, Verify,
 };
 
 fn main() {
@@ -21,15 +23,23 @@ fn main() {
     //    edges each, relations cycling through all 15 types.
     let n_heads = 2000usize;
     let deg = 12usize;
+    //    The same sequence feeds the store and the streaming writer,
+    //    whose small buffer forces spill runs and a k-way merge.
     let mut kg = KnowledgeGraph::new();
+    let mut interner = StreamInterner::new();
+    let mut writer = SnapshotStreamWriter::new(StreamOptions {
+        buffer_edges: 4096,
+        spill_dir: None,
+    });
     for i in 0..n_heads {
-        let q = kg.intern_node(NodeKind::Query, &format!("query {i}"));
+        let text = format!("query {i}");
+        let q = kg.intern_node(NodeKind::Query, &text);
+        assert_eq!(interner.intern(NodeKind::Query, &text), q);
         for j in 0..deg {
-            let t = kg.intern_node(
-                NodeKind::Intention,
-                &format!("intent {}", (i * 17 + j * 29) % 800),
-            );
-            kg.add_edge(Edge {
+            let text = format!("intent {}", (i * 17 + j * 29) % 800);
+            let t = kg.intern_node(NodeKind::Intention, &text);
+            assert_eq!(interner.intern(NodeKind::Intention, &text), t);
+            let edge = Edge {
                 head: q,
                 relation: Relation::ALL[(i + j) % Relation::ALL.len()],
                 tail: t,
@@ -38,7 +48,9 @@ fn main() {
                 plausibility: 0.5 + (j % 10) as f32 / 20.0,
                 typicality: (i % 10) as f32 / 10.0,
                 support: 1 + (j as u32 % 5),
-            });
+            };
+            kg.add_edge(edge.clone());
+            writer.push(edge).expect("buffer edge");
         }
     }
     println!(
@@ -48,41 +60,44 @@ fn main() {
         kg.num_relations()
     );
 
-    // 2. Freeze and check the on-disk header: magic + format version 1.
+    // 2. Freeze in memory and check the header: magic + format version 2.
     let snap = kg.freeze();
-    let bytes = snap.to_bytes();
+    let bytes = snap.as_bytes();
     assert_eq!(&bytes[0..8], b"COSMOKG\0", "header magic changed");
     assert_eq!(
         u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-        1,
-        "format version changed — bump deliberately and keep a loader for v1"
+        2,
+        "format version changed — bump deliberately"
     );
 
-    // 3. Save → load round-trip.
+    // 3. Stream to a file and open it at full verification rigor: the
+    //    spilled, merged file must be the frozen bytes exactly.
     let path =
-        std::env::temp_dir().join(format!("cosmo_snapshot_check_{}.snap", std::process::id()));
-    snap.save(&path).expect("save snapshot");
-    let loaded = KgSnapshot::load(&path).expect("load snapshot");
+        std::env::temp_dir().join(format!("cosmo_snapshot_check_{}.kg2", std::process::id()));
+    let stats = writer.finish(&interner, &path).expect("stream snapshot");
+    assert!(stats.spill_runs > 0, "the writer was meant to spill");
+    let opened = KgSnapshotView::open_verified(&path).expect("open snapshot");
     let on_disk = std::fs::metadata(&path).unwrap().len();
     let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        opened.as_bytes(),
+        bytes,
+        "streamed file differs from freeze"
+    );
+    assert_eq!(opened.num_nodes(), kg.num_nodes());
+    assert_eq!(opened.num_edges(), kg.num_edges());
+    assert_eq!(opened.num_relations(), kg.num_relations());
 
-    // 4. Summary stats must survive the round-trip …
-    assert_eq!(loaded.num_nodes(), kg.num_nodes());
-    assert_eq!(loaded.num_edges(), kg.num_edges());
-    assert_eq!(loaded.num_relations(), kg.num_relations());
-    // … and re-serialising must reproduce the original bytes exactly.
-    assert_eq!(loaded.to_bytes(), bytes, "snapshot not byte-stable");
-
-    // 5. Spot-check read answers against the builder store: node lookup
+    // 4. Spot-check read answers against the builder store: node lookup
     //    and per-relation adjacency on a spread of heads.
     for i in (0..n_heads).step_by(97) {
         let text = format!("query {i}");
         let id = kg.find_node(NodeKind::Query, &text).expect("store head");
-        assert_eq!(loaded.find_node(NodeKind::Query, &text), Some(id));
-        assert_eq!(loaded.node_text(id), text);
+        assert_eq!(opened.find_node(NodeKind::Query, &text), Some(id));
+        assert_eq!(opened.node_text(id), text);
         for &rel in &Relation::ALL {
             let store: Vec<u32> = kg.tails_of_rel(id, rel).map(|e| e.tail.0).collect();
-            let snap: Vec<u32> = loaded
+            let snap: Vec<u32> = opened
                 .tails_of_rel_slice(id, rel)
                 .iter()
                 .map(|e| e.tail.0)
@@ -94,53 +109,25 @@ fn main() {
                 .iter()
                 .map(|e| e.tail.0)
                 .collect::<Vec<_>>(),
-            GraphView::top_intents(&loaded, id, 5)
+            GraphView::top_intents(&opened, id, 5)
                 .iter()
                 .map(|e| e.tail.0)
                 .collect::<Vec<_>>(),
             "intent ranking diverged at head {i}"
         );
     }
-    println!(
-        "snapshot check ok: {} bytes on disk, header v1, reload identical",
-        on_disk
-    );
 
-    // 6. The v2 zero-copy format: header pinned the same way, then a
-    //    save → mmap-open round trip at full verification rigor, and the
-    //    version-sniffing view must pick the right decoder for each file.
-    let bytes_v2 = snap.to_bytes_v2();
-    assert_eq!(&bytes_v2[0..8], b"COSMOKG\0", "v2 header magic changed");
-    assert_eq!(
-        u32::from_le_bytes(bytes_v2[8..12].try_into().unwrap()),
-        2,
-        "v2 format version changed — bump deliberately and keep a loader for v2"
-    );
-    let path_v2 =
-        std::env::temp_dir().join(format!("cosmo_snapshot_check_{}.kg2", std::process::id()));
-    snap.save_v2(&path_v2).expect("save v2 snapshot");
-    let mapped = MappedSnapshot::open_verified(&path_v2).expect("open v2 snapshot");
-    let on_disk_v2 = std::fs::metadata(&path_v2).unwrap().len();
-    assert_eq!(mapped.num_nodes(), kg.num_nodes());
-    assert_eq!(mapped.num_edges(), kg.num_edges());
-    assert_eq!(
-        mapped.to_owned_snapshot(),
-        snap,
-        "v2 mapped answers diverge from the v1 snapshot"
-    );
-    let view = KgSnapshotView::open(&path_v2).expect("view opens v2");
-    assert_eq!(view.format_version(), 2, "view missed the v2 header");
-    let _ = std::fs::remove_file(&path_v2);
-    // a corrupted v2 file must be refused, not mis-served
-    let mut corrupt = bytes_v2.clone();
+    // 5. A corrupted file must be refused, not mis-served.
+    let mut corrupt = bytes.to_vec();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0xFF;
     assert!(
-        MappedSnapshot::from_bytes(corrupt, Verify::Full).is_err(),
-        "corrupt v2 snapshot was accepted"
+        KgSnapshotView::from_bytes(corrupt, Verify::Full).is_err(),
+        "corrupt snapshot was accepted"
     );
     println!(
-        "snapshot check ok: {} bytes on disk, header v2, mmap reload identical, corruption refused",
-        on_disk_v2
+        "snapshot check ok: {} bytes on disk, header v2, {} spill runs, \
+         streamed file identical to freeze, corruption refused",
+        on_disk, stats.spill_runs
     );
 }

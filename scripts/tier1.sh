@@ -3,8 +3,10 @@
 #
 #   ./scripts/tier1.sh
 #
-# Runs the release build, the full test suite, clippy with warnings
-# denied, and the formatting check. Requires network access (or a warm
+# Runs the release build, the whole workspace's test suite (the root
+# manifest's `default-members` make plain `cargo test` cover every crate),
+# the audit ratchet, clippy with warnings denied, the formatting check and
+# the snapshot, serve, swap and kg-scaling smokes. Requires network access (or a warm
 # cargo cache) for the first build.
 #
 # Slow opt-in tests (full repro experiments, scaling sweeps) are marked
@@ -27,7 +29,7 @@ cargo test -q
 cargo run --release -p cosmo-audit -- --check-baseline
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
-# snapshot-format compatibility: freeze, save, reload, compare answers
+# snapshot-format compatibility: freeze, stream, open, verify, refuse corruption
 cargo run --release --example snapshot_check
 # HTTP front end smoke: real sockets, closed-loop load for a fraction of
 # a second; asserts nonzero throughput and zero 5xx (full saturation

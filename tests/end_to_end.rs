@@ -82,7 +82,7 @@ fn serving_round_trip_over_pipeline_kg() {
         .collect();
     assert!(!preload.is_empty());
     let system = ServingSystem::builder()
-        .kg(Arc::new(out.kg.clone()))
+        .view(out.kg.freeze())
         .lm(Arc::new(student))
         .preload(preload.clone())
         .config(ServingConfig {
