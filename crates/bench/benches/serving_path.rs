@@ -4,7 +4,7 @@
 
 use cosmo_kg::{KnowledgeGraph, Relation};
 use cosmo_lm::{CosmoLm, StudentConfig};
-use cosmo_serving::{ServingConfig, ServingSystem};
+use cosmo_serving::{ServeRequest, ServingConfig, ServingSystem};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 
@@ -32,8 +32,9 @@ fn system(preload_n: usize) -> ServingSystem {
 
 fn bench_hit(c: &mut Criterion) {
     let sys = system(1_000);
+    let req = ServeRequest::new("hot query 500");
     c.bench_function("serving/l1_hit", |b| {
-        b.iter(|| sys.handle_request(black_box("hot query 500")).latency_us)
+        b.iter(|| sys.serve(black_box(&req)).latency_us)
     });
 }
 
@@ -43,7 +44,8 @@ fn bench_miss(c: &mut Criterion) {
     c.bench_function("serving/miss_enqueue", |b| {
         b.iter(|| {
             i += 1;
-            sys.handle_request(&format!("cold query {i}")).latency_us
+            sys.serve(&ServeRequest::new(format!("cold query {i}")))
+                .latency_us
         })
     });
 }
@@ -58,7 +60,7 @@ fn bench_batch_cycle(c: &mut Criterion) {
         b.iter(|| {
             round += 1;
             for i in 0..64 {
-                let _ = sys.handle_request(&format!("batch query {round}-{i}"));
+                sys.serve(&ServeRequest::new(format!("batch query {round}-{i}")));
             }
             sys.run_batch_cycle().expect("no worker panics in bench")
         })
@@ -72,10 +74,10 @@ fn bench_concurrent_hits(c: &mut Criterion) {
     const THREADS: usize = 4;
     const PER_THREAD: usize = 1_000;
     let sys = system(1_000);
-    let queries: Vec<Vec<String>> = (0..THREADS)
+    let queries: Vec<Vec<ServeRequest>> = (0..THREADS)
         .map(|t| {
             (0..PER_THREAD)
-                .map(|i| format!("hot query {}", (t * 31 + i * 7) % 1_000))
+                .map(|i| ServeRequest::new(format!("hot query {}", (t * 31 + i * 7) % 1_000)))
                 .collect()
         })
         .collect();
@@ -89,7 +91,7 @@ fn bench_concurrent_hits(c: &mut Criterion) {
                 for qs in &queries {
                     s.spawn(move || {
                         for q in qs {
-                            black_box(sys.handle_request(q).latency_us);
+                            black_box(sys.serve(q).latency_us);
                         }
                     });
                 }

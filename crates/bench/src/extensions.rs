@@ -353,7 +353,8 @@ fn feature_bits(f: &cosmo_serving::StructuredFeatures) -> FeatureBits {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KgTier {
     /// CI gate (`repro -- kg-scaling --smoke`): smallest in-memory size
-    /// plus a tiny streamed world with forced spills — seconds.
+    /// plus a tiny streamed world with forced spills — seconds. Writes
+    /// `artifacts/BENCH_kg.json`, never the committed root file.
     Smoke,
     /// `repro -- kg-scaling`: the full in-memory sweep plus tiny and mid
     /// streamed worlds.
@@ -626,7 +627,11 @@ pub fn kg_scaling(ctx: &Ctx, tier: KgTier) -> String {
          \"serving_identical\": {serving_identical},\n  \
          \"nav_identical\": {nav_identical}\n}}\n"
     );
-    let _ = writeln!(out, "\n{}", write_bench_json("BENCH_kg.json", &json));
+    let _ = writeln!(
+        out,
+        "\n{}",
+        write_bench_json("BENCH_kg.json", &json, tier == KgTier::Smoke)
+    );
     out
 }
 
@@ -1140,7 +1145,7 @@ pub fn nn_scaling(ctx: &Ctx) -> String {
          \"identical_across_threads\": true\n}}\n",
         examples.len()
     );
-    let _ = writeln!(out, "\n{}", write_bench_json("BENCH_nn.json", &json));
+    let _ = writeln!(out, "\n{}", write_bench_json("BENCH_nn.json", &json, false));
     let _ = writeln!(
         out,
         "Every kernel and every thread count produced identical bytes:\n\

@@ -6,9 +6,7 @@ use cosmo_kg::{IntentHierarchy, Relation};
 use cosmo_lm::{simulated_comparison, CosmoLm};
 use cosmo_nav::{run_abtest, AbTestConfig, NavSession, NavigationEngine};
 use cosmo_relevance::{Architecture, RelevanceConfig};
-use cosmo_serving::{
-    query_universe, simulate, simulate_concurrent, ServingConfig, ServingSystem, TrafficConfig,
-};
+use cosmo_serving::{query_universe, simulate, ServingSystem, TrafficConfig};
 use cosmo_teacher::{cobuy_prompt, search_buy_prompt};
 use std::fmt::Write as _;
 
@@ -81,78 +79,6 @@ pub fn figure5(ctx: &Ctx) -> String {
         out,
         "(request path is cache-only: misses are answered asynchronously by batch cycles)"
     );
-    out
-}
-
-/// Hot-path throughput: the multi-day Zipf replay driven by 4 request
-/// threads racing a dedicated batch thread, once with a single-shard /
-/// single-worker layout (approximating the pre-sharding design, where
-/// all mutable cache state sat behind one set of locks) and once with
-/// the default sharded configuration.
-pub fn serving_throughput(ctx: &Ctx) -> String {
-    let traffic = match ctx.scale {
-        Scale::Tiny => TrafficConfig {
-            days: 3,
-            requests_per_day: 20_000,
-            query_universe: 2_000,
-            ..TrafficConfig::default()
-        },
-        _ => TrafficConfig {
-            days: 5,
-            requests_per_day: 100_000,
-            ..TrafficConfig::default()
-        },
-    };
-    let threads = 4;
-    let universe = query_universe(&traffic);
-    let preload: Vec<String> = universe
-        .iter()
-        .take(traffic.query_universe / 10)
-        .cloned()
-        .collect();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{threads} request threads + 1 batch thread, {} days x {} req/day",
-        traffic.days, traffic.requests_per_day
-    );
-    let _ = writeln!(
-        out,
-        "{:<26} {:>9} {:>12} {:>11} {:>9} {:>9}",
-        "Configuration", "shards", "req/s", "elapsed(s)", "final hit", "hwm"
-    );
-    for (name, cfg) in [
-        (
-            "single shard, 1 worker",
-            ServingConfig {
-                shards: 1,
-                workers: 1,
-                ..Default::default()
-            },
-        ),
-        ("sharded (default)", ServingConfig::default()),
-    ] {
-        let system = ServingSystem::builder()
-            .view(ctx.out.kg.freeze())
-            .lm(ctx.student.clone())
-            .preload(preload.clone())
-            .config(cfg.clone())
-            .build()
-            .expect("throughput config is valid");
-        let report = simulate_concurrent(&system, &traffic, threads);
-        let last = report.days.last().expect("at least one day");
-        let _ = writeln!(
-            out,
-            "{:<26} {:>9} {:>12.0} {:>11.2} {:>8.1}% {:>9}",
-            name,
-            cfg.shards,
-            report.requests_per_sec,
-            report.elapsed_secs,
-            last.hit_rate * 100.0,
-            last.queue_high_water,
-        );
-        let _ = writeln!(out, "  {}", system.ops().render());
-    }
     out
 }
 

@@ -26,7 +26,7 @@ pub mod tables;
 pub use context::{build_context, Ctx, Scale};
 
 /// All experiment names accepted by the `repro` binary.
-pub const EXPERIMENTS: [&str; 25] = [
+pub const EXPERIMENTS: [&str; 24] = [
     "table1",
     "table2",
     "table3",
@@ -47,7 +47,6 @@ pub const EXPERIMENTS: [&str; 25] = [
     "rewrites",
     "feedback",
     "kgstats",
-    "throughput",
     "serve",
     "pipeline-scaling",
     "nn-scaling",
@@ -74,7 +73,6 @@ pub fn run_experiment(ctx: &Ctx, name: &str) -> Option<String> {
         "figure10" => figures::figure10(ctx),
         "abtest" => figures::abtest(ctx),
         "efficiency" => figures::efficiency(ctx),
-        "throughput" => figures::serving_throughput(ctx),
         // smoke mode here keeps `repro -- all` fast; the full saturation
         // sweep is `repro -- serve` (without --smoke) via the binary
         "serve" => serve::serve(ctx, /*smoke=*/ true),

@@ -11,7 +11,9 @@
 //!   throughput stops improving ≥5% per step, reporting p50/p99 latency
 //!   and drop/reject rates at every point.
 //!
-//! Both write `BENCH_serve.json` for machine consumption.
+//! Both write `BENCH_serve.json` for machine consumption: the full sweep
+//! at the repository root, the smoke run under the gitignored
+//! `artifacts/` (see [`crate::output`]).
 
 use crate::context::Ctx;
 use cosmo_http::{
@@ -165,7 +167,7 @@ pub fn serve(ctx: &Ctx, smoke: bool) -> String {
     let _ = writeln!(
         out,
         "\n{}",
-        crate::output::write_bench_json("BENCH_serve.json", &json)
+        crate::output::write_bench_json("BENCH_serve.json", &json, smoke)
     );
 
     if smoke {
@@ -194,7 +196,8 @@ pub fn serve(ctx: &Ctx, smoke: bool) -> String {
 /// boundary (old graph, new cache, or vice versa) would surface here.
 ///
 /// Smoke mode (the tier-1 gate) runs 3 swaps with 2 client threads; the
-/// full mode runs 10 swaps with 4. Writes `BENCH_serve_swap.json`.
+/// full mode runs 10 swaps with 4. Writes `BENCH_serve_swap.json` (smoke:
+/// under `artifacts/`).
 pub fn serve_swap(ctx: &Ctx, smoke: bool) -> String {
     use std::collections::HashMap;
     use std::sync::Mutex;
@@ -361,7 +364,7 @@ pub fn serve_swap(ctx: &Ctx, smoke: bool) -> String {
     let _ = writeln!(
         out,
         "\n{}",
-        crate::output::write_bench_json("BENCH_serve_swap.json", &json)
+        crate::output::write_bench_json("BENCH_serve_swap.json", &json, smoke)
     );
     out
 }

@@ -33,7 +33,7 @@ fn every_fast_experiment_runs() {
         assert!(out.len() > 40, "{name} produced almost no output: {out:?}");
     }
     assert!(run_experiment(ctx(), "no-such-experiment").is_none());
-    assert_eq!(EXPERIMENTS.len(), 25);
+    assert_eq!(EXPERIMENTS.len(), 24);
 }
 
 #[test]
@@ -136,15 +136,6 @@ fn figure5_hit_rate_reaches_steady_state() {
         rates.last().unwrap() > &50.0,
         "steady-state hit rate too low: {rates:?}"
     );
-}
-
-#[test]
-fn throughput_compares_single_shard_to_sharded() {
-    let t = run_experiment(ctx(), "throughput").unwrap();
-    assert!(t.contains("single shard"), "missing baseline row: {t}");
-    assert!(t.contains("sharded (default)"), "missing sharded row: {t}");
-    // both rows report a positive req/s figure and an ops summary line
-    assert_eq!(t.matches("hit_rate=").count(), 2, "two ops_view lines: {t}");
 }
 
 /// The tier-1 serve gate: the HTTP front end over the frozen snapshot

@@ -5,8 +5,8 @@
 //! semantic subcategory representations, strong-intent detection), a
 //! two-layer asynchronous cache store, a persistent batch-worker pool,
 //! daily model refresh with cache promotion, a feedback loop, and a
-//! multi-day Zipf traffic simulator (sequential and concurrent) used by
-//! the Figure 5 repro experiments.
+//! deterministic multi-day Zipf traffic simulator used by the Figure 5
+//! repro experiment.
 //!
 //! ## Hot-path architecture
 //!
@@ -36,8 +36,11 @@
 //!     .view(kg.freeze())
 //!     .lm(lm)
 //!     .preload(["camping", "hiking gear"])
-//!     .shards(16)
-//!     .admission(AdmissionPolicy::RejectNew)
+//!     .config(ServingConfig {
+//!         shards: 16,
+//!         admission: AdmissionPolicy::RejectNew,
+//!         ..ServingConfig::default()
+//!     })
 //!     .build()?;
 //! ```
 //!
@@ -85,13 +88,7 @@ pub use protocol::{
     ProtocolError, ReloadRequest, ReloadResponse, ServeRequest, ServeResponse, ServeStatus,
     SnapshotVersion, OPS_VERSION, PROTOCOL_VERSION,
 };
-pub use sim::{
-    query_universe, simulate, simulate_concurrent, DayReport, ThroughputReport, TrafficConfig,
-};
+pub use sim::{query_universe, simulate, DayReport, TrafficConfig};
 pub use swap::{SnapshotGeneration, SnapshotHandle};
-#[allow(deprecated)] // deprecated shim stays importable until call sites finish migrating
-pub use system::SystemSnapshot;
-pub use system::{ServeResult, Served, ServingConfig, ServingSystem, ServingSystemBuilder};
-#[allow(deprecated)] // deprecated shim stays importable until call sites finish migrating
-pub use views::ops_view;
+pub use system::{Served, ServingConfig, ServingSystem, ServingSystemBuilder};
 pub use views::{navigation_view, recommendation_view, relevance_view};

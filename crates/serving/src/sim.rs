@@ -6,20 +6,15 @@
 //! request path with batch cycles and daily refreshes, and reports
 //! per-day hit rates, latency percentiles, and admission counters.
 //!
-//! Two drivers share the same traffic model:
-//!
-//! * [`simulate`] — single-threaded, deterministic, used by the Figure 5
-//!   hit-rate repro;
-//! * [`simulate_concurrent`] — N request threads racing a dedicated
-//!   batch-cycle thread against one shared [`ServingSystem`], used to
-//!   measure end-to-end throughput (req/s) of the sharded hot path.
+//! [`simulate`] is single-threaded and deterministic; it drives the
+//! Figure 5 hit-rate repro. Throughput under real concurrency is measured
+//! over sockets instead, by the `cosmo-http` load generator.
 
+use crate::protocol::ServeRequest;
 use crate::system::ServingSystem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 /// Traffic simulation parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -85,21 +80,6 @@ pub struct DayReport {
     pub promoted: usize,
 }
 
-/// Throughput measurement from [`simulate_concurrent`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ThroughputReport {
-    /// Request threads racing the batch thread.
-    pub threads: usize,
-    /// Requests served across all days.
-    pub total_requests: usize,
-    /// Wall-clock time for the whole run.
-    pub elapsed_secs: f64,
-    /// `total_requests / elapsed_secs`.
-    pub requests_per_sec: f64,
-    /// Per-day reports (same shape as the sequential simulation).
-    pub days: Vec<DayReport>,
-}
-
 /// The base query strings used by the simulation (exposed so callers can
 /// preload the hottest prefix into L1).
 pub fn query_universe(cfg: &TrafficConfig) -> Vec<String> {
@@ -155,7 +135,7 @@ fn close_day(system: &ServingSystem, day: usize) -> DayReport {
     }
 }
 
-/// Run the sequential simulation.
+/// Run the simulation.
 pub fn simulate(system: &ServingSystem, cfg: &TrafficConfig) -> Vec<DayReport> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let universe = query_universe(cfg);
@@ -175,7 +155,7 @@ pub fn simulate(system: &ServingSystem, cfg: &TrafficConfig) -> Vec<DayReport> {
                 // PANIC: the sampler draws indices below universe.len()
                 universe[sampler.index(&mut rng)].clone()
             };
-            let _ = system.handle_request(&query);
+            system.serve(&ServeRequest::new(query));
             if r % batch_every == batch_every - 1 {
                 let _ = system.run_batch_cycle();
             }
@@ -185,79 +165,6 @@ pub fn simulate(system: &ServingSystem, cfg: &TrafficConfig) -> Vec<DayReport> {
         reports.push(close_day(system, day));
     }
     reports
-}
-
-/// Run the concurrent throughput measurement: `threads` request threads
-/// replay the day's traffic against the shared system while a dedicated
-/// batch thread drains the pending queue; each day ends with a final
-/// drain and a daily refresh. Determinism: each `(seed, day, thread)`
-/// triple gets its own RNG, so the multiset of queries is reproducible
-/// even though interleaving is not.
-pub fn simulate_concurrent(
-    system: &ServingSystem,
-    cfg: &TrafficConfig,
-    threads: usize,
-) -> ThroughputReport {
-    let threads = threads.max(1);
-    let universe = query_universe(cfg);
-    let sampler = ZipfSampler::new(universe.len(), cfg.zipf);
-
-    let start = Instant::now();
-    let mut days = Vec::with_capacity(cfg.days);
-    for day in 0..cfg.days {
-        system.current().cache.metrics.reset();
-        system.latency.reset();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let per_thread = cfg.requests_per_day / threads
-                        + usize::from(t < cfg.requests_per_day % threads);
-                    let universe = &universe;
-                    let sampler = &sampler;
-                    s.spawn(move || {
-                        let mut rng =
-                            StdRng::seed_from_u64(cfg.seed ^ ((day as u64) << 32) ^ (t as u64));
-                        for i in 0..per_thread {
-                            let query = if rng.gen_bool(cfg.drift) {
-                                format!("drift query {day}-{t}-{i}")
-                            } else {
-                                // PANIC: sampler indices are in range
-                                universe[sampler.index(&mut rng)].clone()
-                            };
-                            let _ = system.handle_request(&query);
-                        }
-                    })
-                })
-                .collect();
-            let batcher = s.spawn(|| {
-                while !stop.load(Ordering::Acquire) {
-                    if system.run_batch_cycle().unwrap_or(0) == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-            for h in handles {
-                // PANIC: propagating a worker panic is the sim's failure mode
-                h.join().expect("request thread panicked");
-            }
-            stop.store(true, Ordering::Release);
-            // PANIC: propagated deliberately, as above
-            batcher.join().expect("batch thread panicked");
-        });
-        // flush remaining pending work before the day closes
-        while system.run_batch_cycle().unwrap_or(0) > 0 {}
-        days.push(close_day(system, day));
-    }
-    let elapsed_secs = start.elapsed().as_secs_f64();
-    let total_requests = cfg.requests_per_day * cfg.days;
-    ThroughputReport {
-        threads,
-        total_requests,
-        elapsed_secs,
-        requests_per_sec: total_requests as f64 / elapsed_secs.max(f64::EPSILON),
-        days,
-    }
 }
 
 #[cfg(test)]
@@ -358,29 +265,5 @@ mod tests {
                 r.day
             );
         }
-    }
-
-    #[test]
-    fn concurrent_simulation_serves_all_requests() {
-        let cfg = TrafficConfig {
-            days: 2,
-            ..tiny_traffic()
-        };
-        let sys = small_system(50, &cfg);
-        let report = simulate_concurrent(&sys, &cfg, 4);
-        assert_eq!(report.threads, 4);
-        assert_eq!(report.total_requests, cfg.requests_per_day * cfg.days);
-        assert!(report.requests_per_sec > 0.0);
-        assert_eq!(report.days.len(), cfg.days);
-        for day in &report.days {
-            assert_eq!(
-                (day.l1_hits + day.l2_hits + day.misses) as usize,
-                cfg.requests_per_day,
-                "day {} counters reconcile under concurrency",
-                day.day
-            );
-        }
-        // everything pending was flushed before each day closed
-        assert_eq!(sys.current().cache.pending_len(), 0);
     }
 }

@@ -26,12 +26,11 @@
 //!     .view(kg.freeze())
 //!     .lm(lm)
 //!     .preload(hot_queries)
-//!     .workers(8)
-//!     .shards(16)
+//!     .config(ServingConfig { workers: 8, shards: 16, ..ServingConfig::default() })
 //!     .build()?;
 //! ```
 
-use crate::cache::{AdmissionPolicy, CacheConfig, CacheLayer, CacheLookup, CacheStore};
+use crate::cache::{AdmissionPolicy, CacheConfig, CacheLookup, CacheStore};
 use crate::error::ServingError;
 use crate::features::{compute_features_batch, FeatureStore, StructuredFeatures};
 pub use crate::histogram::LatencyRecorder;
@@ -109,18 +108,6 @@ impl ServingConfig {
     }
 }
 
-/// Response of the request path.
-#[derive(Debug, Clone)]
-pub struct ServeResult {
-    /// Features when cached; `None` means the query was forwarded to batch
-    /// processing and downstream applications fall back this request.
-    pub features: Option<Arc<StructuredFeatures>>,
-    /// Which layer answered (when cached).
-    pub layer: Option<CacheLayer>,
-    /// Request-path latency in microseconds.
-    pub latency_us: u64,
-}
-
 /// A typed request answered in-process: the wire-identical
 /// [`ServeResponse`] plus the in-process extras (the full feature object
 /// and the measured latency) that deliberately stay off the wire.
@@ -134,42 +121,6 @@ pub struct Served {
     /// Request-path latency in microseconds (measured, not part of the
     /// response body — that is what keeps the body deterministic).
     pub latency_us: u64,
-}
-
-/// One operational snapshot of the serving system (the quantities an ops
-/// dashboard for Figure 5 would chart).
-#[deprecated(
-    since = "0.6.0",
-    note = "use the versioned `protocol::OpsStats` returned by `ServingSystem::ops()`"
-)]
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemSnapshot {
-    /// Entries in the pre-loaded L1 layer.
-    pub l1_size: usize,
-    /// Entries in the daily L2 layer (all shards).
-    pub l2_size: usize,
-    /// Per-shard L2 entry counts.
-    pub l2_shard_sizes: Vec<usize>,
-    /// Distinct queries queued for the next batch cycle.
-    pub pending: usize,
-    /// Peak queue depth since the last metrics reset.
-    pub queue_high_water: usize,
-    /// Pending entries evicted under `AdmissionPolicy::DropOldest`.
-    pub dropped: u64,
-    /// Pending enqueues refused under `AdmissionPolicy::RejectNew`.
-    pub rejected: u64,
-    /// Batch-worker chunks that panicked (queries were re-queued).
-    pub batch_failed_chunks: u64,
-    /// Cumulative cache hit rate.
-    pub hit_rate: f64,
-    /// p50 request latency (µs).
-    pub p50_us: u64,
-    /// p99 request latency (µs).
-    pub p99_us: u64,
-    /// Feature-store size.
-    pub features: usize,
-    /// Current model version.
-    pub model_version: u64,
 }
 
 /// Test hook: a query with this text makes a worker panic mid-chunk.
@@ -215,48 +166,6 @@ impl ServingSystemBuilder {
     /// Replace the whole configuration at once.
     pub fn config(mut self, cfg: ServingConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Worker threads in the persistent batch pool.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
-    /// Max queries per batch cycle.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.cfg.batch_size = batch_size;
-        self
-    }
-
-    /// L1 (yearly-frequent layer) capacity.
-    pub fn l1_capacity(mut self, l1_capacity: usize) -> Self {
-        self.cfg.l1_capacity = l1_capacity;
-        self
-    }
-
-    /// Total L2 (daily layer) capacity.
-    pub fn l2_capacity(mut self, l2_capacity: usize) -> Self {
-        self.cfg.l2_capacity = l2_capacity;
-        self
-    }
-
-    /// Shard count for cache and feature-store state.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards;
-        self
-    }
-
-    /// Total bound on queued pending queries.
-    pub fn pending_bound(mut self, pending_bound: usize) -> Self {
-        self.cfg.pending_bound = pending_bound;
-        self
-    }
-
-    /// Admission policy for a full pending queue.
-    pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.cfg.admission = admission;
         self
     }
 
@@ -426,17 +335,6 @@ impl ServingSystem {
         self.serve(req).response
     }
 
-    /// Untyped request path, kept for callers that only have a query
-    /// string: a thin wrapper over [`ServingSystem::serve`].
-    pub fn handle_request(&self, query: &str) -> ServeResult {
-        let served = self.serve(&ServeRequest::new(query));
-        ServeResult {
-            layer: served.response.layer,
-            features: served.features,
-            latency_us: served.latency_us,
-        }
-    }
-
     /// One batch cycle: drain pending queries, compute features on the
     /// persistent worker pool, install into L2 and the feature store.
     ///
@@ -545,28 +443,6 @@ impl ServingSystem {
         }
     }
 
-    /// Operational snapshot for dashboards/alerts.
-    #[deprecated(since = "0.6.0", note = "use `ServingSystem::ops()`")]
-    #[allow(deprecated)] // the deprecated shim must mention its own deprecated return type
-    pub fn snapshot(&self) -> SystemSnapshot {
-        let ops = self.ops();
-        SystemSnapshot {
-            l1_size: ops.l1_size,
-            l2_size: ops.l2_size,
-            l2_shard_sizes: ops.l2_shard_sizes,
-            pending: ops.pending,
-            queue_high_water: ops.queue_high_water,
-            dropped: ops.dropped,
-            rejected: ops.rejected,
-            batch_failed_chunks: ops.batch_failed_chunks,
-            hit_rate: ops.hit_rate,
-            p50_us: ops.p50_us,
-            p99_us: ops.p99_us,
-            features: ops.features,
-            model_version: ops.model_version,
-        }
-    }
-
     /// Feedback loop: record a served interaction (query, purchased
     /// product) for the next model refresh.
     pub fn record_feedback(&self, query: &str, product: &str) {
@@ -584,6 +460,7 @@ impl ServingSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheLayer;
     use cosmo_kg::{KnowledgeGraph, Relation};
     use cosmo_lm::StudentConfig;
 
@@ -604,28 +481,35 @@ mod tests {
             .view(kg)
             .lm(lm)
             .preload(preload.iter().copied())
-            .workers(2)
+            .config(ServingConfig {
+                workers: 2,
+                ..ServingConfig::default()
+            })
             .build()
             .unwrap()
+    }
+
+    fn serve(sys: &ServingSystem, query: &str) -> Served {
+        sys.serve(&ServeRequest::new(query))
     }
 
     #[test]
     fn preloaded_queries_hit_l1() {
         let sys = system(&["camping"]);
-        let r = sys.handle_request("camping");
+        let r = serve(&sys, "camping");
         assert!(r.features.is_some());
-        assert_eq!(r.layer, Some(CacheLayer::L1));
+        assert_eq!(r.response.layer, Some(CacheLayer::L1));
     }
 
     #[test]
     fn miss_then_batch_then_l2_hit() {
         let sys = system(&[]);
-        let r = sys.handle_request("hiking gear");
+        let r = serve(&sys, "hiking gear");
         assert!(r.features.is_none(), "first request must not block");
         let processed = sys.run_batch_cycle().unwrap();
         assert_eq!(processed, 1);
-        let r2 = sys.handle_request("hiking gear");
-        assert_eq!(r2.layer, Some(CacheLayer::L2));
+        let r2 = serve(&sys, "hiking gear");
+        assert_eq!(r2.response.layer, Some(CacheLayer::L2));
         assert!(sys.current().features.get("hiking gear").is_some());
     }
 
@@ -633,7 +517,7 @@ mod tests {
     fn batch_cycle_uses_all_pending() {
         let sys = system(&[]);
         for i in 0..20 {
-            let _ = sys.handle_request(&format!("query {i}"));
+            let _ = serve(&sys, &format!("query {i}"));
         }
         assert_eq!(sys.run_batch_cycle().unwrap(), 20);
         assert_eq!(sys.run_batch_cycle().unwrap(), 0, "queue drained");
@@ -643,21 +527,21 @@ mod tests {
     fn daily_refresh_bumps_model_version() {
         let sys = system(&[]);
         assert_eq!(sys.model_version(), 1);
-        let _ = sys.handle_request("q");
+        let _ = serve(&sys, "q");
         sys.run_batch_cycle().unwrap();
-        let _ = sys.handle_request("q"); // L2 hit → promotion candidate
+        let _ = serve(&sys, "q"); // L2 hit → promotion candidate
         let promoted = sys.daily_refresh();
         assert_eq!(sys.model_version(), 2);
         assert_eq!(promoted, 1);
-        let r = sys.handle_request("q");
-        assert_eq!(r.layer, Some(CacheLayer::L1));
+        let r = serve(&sys, "q");
+        assert_eq!(r.response.layer, Some(CacheLayer::L1));
     }
 
     #[test]
     fn ops_reflects_state() {
         let sys = system(&["hot"]);
-        let _ = sys.handle_request("hot");
-        let _ = sys.handle_request("cold");
+        let _ = serve(&sys, "hot");
+        let _ = serve(&sys, "cold");
         let ops = sys.ops();
         assert_eq!(ops.ops_version, OPS_VERSION);
         assert_eq!(ops.l1_size, 1);
@@ -697,10 +581,8 @@ mod tests {
         let miss = sys.handle(&ServeRequest::new("cold"));
         assert_eq!(miss.status, ServeStatus::Enqueued);
         assert_eq!(miss.layer, None);
-        // handle_request stays a thin wrapper over serve
-        let r = sys.handle_request("hot");
-        assert_eq!(r.layer, Some(CacheLayer::L1));
-        assert!(r.features.is_some());
+        // handle is serve reduced to the wire response
+        assert_eq!(sys.handle(&ServeRequest::new("hot")), served.response);
     }
 
     #[test]
@@ -709,9 +591,12 @@ mod tests {
         let sys = ServingSystem::builder()
             .view(kg)
             .lm(lm)
-            .shards(1)
-            .pending_bound(1)
-            .admission(AdmissionPolicy::RejectNew)
+            .config(ServingConfig {
+                shards: 1,
+                pending_bound: 1,
+                admission: AdmissionPolicy::RejectNew,
+                ..ServingConfig::default()
+            })
             .build()
             .unwrap();
         assert_eq!(
@@ -726,23 +611,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // locks the deprecated SystemSnapshot shim to the ops() values
-    fn deprecated_snapshot_shim_matches_ops() {
-        let sys = system(&["hot"]);
-        let _ = sys.handle_request("hot");
-        let _ = sys.handle_request("cold");
-        let snap = sys.snapshot();
-        let ops = sys.ops();
-        assert_eq!(snap.l1_size, ops.l1_size);
-        assert_eq!(snap.pending, ops.pending);
-        assert_eq!(snap.hit_rate, ops.hit_rate);
-        assert_eq!(snap.model_version, ops.model_version);
-    }
-
-    #[test]
     fn builder_validates_config() {
         let (kg, lm) = parts();
-        let err = ServingSystem::builder().view(kg).lm(lm).workers(0).build();
+        let err = ServingSystem::builder()
+            .view(kg)
+            .lm(lm)
+            .config(ServingConfig {
+                workers: 0,
+                ..ServingConfig::default()
+            })
+            .build();
         assert!(matches!(err, Err(ServingError::InvalidConfig(_))));
     }
 
@@ -762,9 +640,9 @@ mod tests {
     #[test]
     fn worker_panic_degrades_instead_of_killing_caller() {
         let sys = system(&[]);
-        let _ = sys.handle_request(PANIC_QUERY);
+        let _ = serve(&sys, PANIC_QUERY);
         for i in 0..7 {
-            let _ = sys.handle_request(&format!("healthy {i}"));
+            let _ = serve(&sys, &format!("healthy {i}"));
         }
         let err = sys.run_batch_cycle().unwrap_err();
         let ServingError::BatchWorker {

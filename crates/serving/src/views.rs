@@ -16,8 +16,6 @@
 //! downstream surface shares one cache entry per query.
 
 use crate::features::StructuredFeatures;
-#[allow(deprecated)] // the deprecated ops_view shim still renders the old snapshot type
-use crate::system::SystemSnapshot;
 use cosmo_text::hash::hash_str_ns;
 
 /// Render the relevance feature `G` for a query's cached features: the
@@ -82,41 +80,6 @@ pub fn navigation_view(f: &StructuredFeatures, k: usize) -> Vec<String> {
     out
 }
 
-/// Render an operator-facing one-screen summary of a [`SystemSnapshot`]:
-/// cache layer sizes (with the per-shard L2 spread), queue depth against
-/// its high-water mark, admission counters, hit rate, and latency
-/// percentiles — the quantities an on-call dashboard for Figure 5 charts.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `ServingSystem::ops().render()` — same line, versioned schema"
-)]
-#[allow(deprecated)] // the deprecated shim renders the deprecated snapshot type
-pub fn ops_view(snap: &SystemSnapshot) -> String {
-    let shard_spread = snap
-        .l2_shard_sizes
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join("/");
-    format!(
-        "cache l1={} l2={} (shards {shard_spread}) | queue pending={} hwm={} \
-         dropped={} rejected={} | batch failed_chunks={} | hit_rate={:.3} \
-         p50={}us p99={}us | features={} model=v{}",
-        snap.l1_size,
-        snap.l2_size,
-        snap.pending,
-        snap.queue_high_water,
-        snap.dropped,
-        snap.rejected,
-        snap.batch_failed_chunks,
-        snap.hit_rate,
-        snap.p50_us,
-        snap.p99_us,
-        snap.features,
-        snap.model_version,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,35 +124,6 @@ mod tests {
         assert_eq!(labels, vec!["sleeping outdoors", "keeping warm"]);
         let top1 = navigation_view(&features(), 1);
         assert_eq!(top1, vec!["sleeping outdoors"]);
-    }
-
-    #[test]
-    #[allow(deprecated)] // locks the deprecated ops_view shim's output format
-    fn ops_view_mentions_every_operational_counter() {
-        let snap = SystemSnapshot {
-            l1_size: 10,
-            l2_size: 7,
-            l2_shard_sizes: vec![3, 4],
-            pending: 2,
-            queue_high_water: 9,
-            dropped: 5,
-            rejected: 1,
-            batch_failed_chunks: 0,
-            hit_rate: 0.875,
-            p50_us: 12,
-            p99_us: 340,
-            features: 17,
-            model_version: 3,
-        };
-        let line = ops_view(&snap);
-        assert!(line.contains("l1=10"));
-        assert!(line.contains("shards 3/4"));
-        assert!(line.contains("pending=2"));
-        assert!(line.contains("hwm=9"));
-        assert!(line.contains("dropped=5"));
-        assert!(line.contains("rejected=1"));
-        assert!(line.contains("hit_rate=0.875"));
-        assert!(line.contains("model=v3"));
     }
 
     #[test]

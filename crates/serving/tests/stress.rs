@@ -4,7 +4,8 @@
 use cosmo_kg::{KgSnapshotView, KnowledgeGraph, Relation};
 use cosmo_lm::{CosmoLm, StudentConfig};
 use cosmo_serving::{
-    bucket_index, AdmissionPolicy, LatencyRecorder, ServingConfig, ServingError, ServingSystem,
+    bucket_index, AdmissionPolicy, LatencyRecorder, ServeRequest, ServingConfig, ServingError,
+    ServingSystem,
 };
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
@@ -56,9 +57,9 @@ fn stress_counters_reconcile_under_races() {
                 s.spawn(move || {
                     for i in 0..PER_THREAD {
                         match i % 4 {
-                            0 => drop(sys.handle_request(&format!("hot {}", i % 3))),
-                            1 => drop(sys.handle_request(&format!("warm {}", i % 64))),
-                            _ => drop(sys.handle_request(&format!("cold {t}-{i}"))),
+                            0 => drop(sys.serve(&ServeRequest::new(format!("hot {}", i % 3)))),
+                            1 => drop(sys.serve(&ServeRequest::new(format!("warm {}", i % 64)))),
+                            _ => drop(sys.serve(&ServeRequest::new(format!("cold {t}-{i}")))),
                         }
                     }
                 })
@@ -126,7 +127,7 @@ fn miss_flood_respects_bound_with_drops_visible() {
     );
     let flood = bound * 10;
     for i in 0..flood {
-        let r = sys.handle_request(&format!("flood {i}"));
+        let r = sys.serve(&ServeRequest::new(format!("flood {i}")));
         assert!(r.features.is_none());
         assert!(
             sys.current().cache.pending_len() <= bound,
@@ -160,7 +161,7 @@ fn single_shard_flood_drops_exactly_overflow() {
     );
     let flood = bound * 10;
     for i in 0..flood {
-        let _ = sys.handle_request(&format!("flood {i}"));
+        sys.serve(&ServeRequest::new(format!("flood {i}")));
     }
     let snap = sys.ops();
     assert_eq!(snap.pending, bound);
@@ -183,7 +184,7 @@ fn single_shard_flood_rejects_new_when_full() {
         &[],
     );
     for i in 0..bound * 4 {
-        let _ = sys.handle_request(&format!("flood {i}"));
+        sys.serve(&ServeRequest::new(format!("flood {i}")));
     }
     let snap = sys.ops();
     assert_eq!(snap.pending, bound);

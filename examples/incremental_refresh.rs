@@ -9,7 +9,7 @@
 use cosmo::core::{apply_feedback, run, PipelineConfig};
 use cosmo::kg::NodeKind;
 use cosmo::lm::{build_instructions, tail_vocab_from_pipeline, CosmoLm, StudentConfig};
-use cosmo::serving::ServingSystem;
+use cosmo::serving::{ServeRequest, ServingSystem};
 use std::sync::Arc;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
     // loop (we simulate the purchase as the query's top target product).
     let mut served_cold = 0;
     for q in out.world.queries.iter().take(400) {
-        let _ = system.handle_request(&q.text);
+        system.serve(&ServeRequest::new(q.text.clone()));
         if out.kg.find_node(NodeKind::Query, &q.text).is_none() && !q.target_types.is_empty() {
             served_cold += 1;
             let p = out.world.products_of_type(q.target_types[0])[0];

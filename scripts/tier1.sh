@@ -6,8 +6,10 @@
 # Runs the release build, the whole workspace's test suite (the root
 # manifest's `default-members` make plain `cargo test` cover every crate),
 # the audit ratchet, clippy with warnings denied, the formatting check and
-# the snapshot, serve, swap and kg-scaling smokes. Requires network access (or a warm
-# cargo cache) for the first build.
+# the snapshot, serve, swap and kg-scaling smokes. Smoke runs write their
+# BENCH_*.json under the gitignored artifacts/, so the gate leaves the
+# working tree clean. Requires network access (or a warm cargo cache) for
+# the first build.
 #
 # Slow opt-in tests (full repro experiments, scaling sweeps) are marked
 # `#[ignore]` and stay out of this gate; run them explicitly with
@@ -19,6 +21,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# the benchmark is a package of its own (outside the root workspace) that
+# builds against cosmo-serving / cosmo-http's public API; keep it compiling
+cargo build --release --manifest-path cosmobench/Cargo.toml
 cargo test -q
 # workspace invariant linter: SAFETY contracts, unsafe allowlist,
 # total_cmp-only float sorts, no wall clock in deterministic crates,

@@ -6,7 +6,7 @@ use cosmo::core::{run, PipelineConfig, PipelineOutput};
 use cosmo::kg::{BehaviorKind, NodeKind};
 use cosmo::lm::{build_instructions, tail_vocab_from_pipeline, CosmoLm, StudentConfig};
 use cosmo::nav::{NavSession, NavigationEngine};
-use cosmo::serving::{ServingConfig, ServingSystem};
+use cosmo::serving::{ServeRequest, ServingConfig, ServingSystem};
 use std::sync::{Arc, OnceLock};
 
 fn pipeline() -> &'static PipelineOutput {
@@ -92,19 +92,14 @@ fn serving_round_trip_over_pipeline_kg() {
         .build()
         .expect("serving config is valid");
     // hot path
-    let r = system.handle_request(&preload[0]);
+    let r = system.serve(&ServeRequest::new(preload[0].clone()));
     let features = r.features.expect("preloaded query must hit");
     assert!(!features.intents.is_empty());
     // cold path: async miss → batch → hit
-    assert!(system
-        .handle_request("entirely novel query")
-        .features
-        .is_none());
+    let novel = ServeRequest::new("entirely novel query");
+    assert!(system.serve(&novel).features.is_none());
     assert_eq!(system.run_batch_cycle().expect("healthy workers"), 1);
-    assert!(system
-        .handle_request("entirely novel query")
-        .features
-        .is_some());
+    assert!(system.serve(&novel).features.is_some());
 }
 
 #[test]
