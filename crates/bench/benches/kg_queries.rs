@@ -1,6 +1,6 @@
 //! Knowledge-graph store benchmarks: the serving path's lookups (hashmap
-//! adjacency vs frozen CSR snapshot), the navigation hierarchy build, the
-//! snapshot freeze, and JSON (de)serialisation.
+//! adjacency vs frozen CSR snapshot), the navigation hierarchy build and
+//! the snapshot freeze.
 
 use cosmo_kg::{BehaviorKind, Edge, IntentHierarchy, KnowledgeGraph, NodeKind, Relation};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
@@ -79,22 +79,6 @@ fn bench_hierarchy(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_json_roundtrip(c: &mut Criterion) {
-    let kg = build_graph(500, 8);
-    let json = kg.to_json();
-    let mut g = c.benchmark_group("kg");
-    g.sample_size(20);
-    g.bench_function("json_serialize", |b| b.iter(|| kg.to_json().len()));
-    g.bench_function("json_deserialize", |b| {
-        b.iter(|| {
-            KnowledgeGraph::from_json(black_box(&json))
-                .unwrap()
-                .num_edges()
-        })
-    });
-    g.finish();
-}
-
 fn bench_snapshot_freeze(c: &mut Criterion) {
     let kg = build_graph(500, 8);
     let mut g = c.benchmark_group("kg");
@@ -133,7 +117,6 @@ criterion_group!(
     bench_insert,
     bench_lookup,
     bench_hierarchy,
-    bench_json_roundtrip,
     bench_snapshot_freeze,
     bench_embed
 );

@@ -1,13 +1,13 @@
-//! The HTTP/1.1 server: thread-per-core accept loops scheduled on the
-//! [`cosmo_exec::WorkerPool`], keep-alive connection handling, and
-//! bounded connection backpressure that reuses the serving crate's
-//! [`AdmissionPolicy`].
+//! The HTTP/1.1 server: one accept loop and the connection workers
+//! scheduled on a [`cosmo_exec::WorkerPool`], keep-alive connection
+//! handling, and bounded connection backpressure that reuses the serving
+//! crate's [`AdmissionPolicy`].
 //!
 //! Topology (COSMO Figure 5's "serving endpoint" made concrete):
 //!
 //! ```text
 //!             ┌───────────── supervisor thread ─────────────┐
-//!   TCP ───▶  │ acceptors (N jobs)  ─▶ queue ─▶ workers (M) │ ─▶ ServingSystem
+//!   TCP ───▶  │ acceptor (1 job)    ─▶ queue ─▶ workers (M) │ ─▶ ServingSystem
 //!             │        nonblocking      bounded, admission-  │     (frozen
 //!             │        accept loop      policed VecDeque     │    snapshot)
 //!             └─────────────────────────────────────────────┘
@@ -41,11 +41,9 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Accept-loop jobs on the pool.
-    pub acceptors: usize,
-    /// Connection-serving jobs on the pool.
+    /// Connection-serving jobs on the pool (at least one runs).
     pub conn_workers: usize,
-    /// Max connections queued between acceptors and workers.
+    /// Max connections queued between the acceptor and the workers.
     pub conn_backlog: usize,
     /// What to do when the connection queue is full.
     pub admission: AdmissionPolicy,
@@ -64,7 +62,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            acceptors: 1,
             conn_workers: 4,
             conn_backlog: 64,
             admission: AdmissionPolicy::RejectNew,
@@ -105,7 +102,7 @@ pub struct HttpStats {
     pub oversized: u64,
 }
 
-/// State shared between the handle, acceptors, and workers.
+/// State shared between the handle, the acceptor, and the workers.
 struct Shared {
     router: Router,
     config: ServerConfig,
@@ -191,18 +188,18 @@ impl ServerHandle {
 }
 
 /// Runs on the supervisor thread: owns the worker pool for the server's
-/// lifetime. `scope` blocks until every acceptor and worker job returns,
-/// which is exactly the drain semantics `shutdown` needs.
+/// lifetime. `scope` blocks until the acceptor and every worker job
+/// returns, which is exactly the drain semantics `shutdown` needs. The
+/// pool has one thread per job, so the accept loop never runs inline and
+/// starves the workers.
 fn supervise(listener: TcpListener, shared: Arc<Shared>) {
-    let jobs = shared.config.acceptors + shared.config.conn_workers;
-    let pool = WorkerPool::new(jobs.max(1));
+    let workers = shared.config.conn_workers.max(1);
+    let pool = WorkerPool::new(1 + workers);
     pool.scope(|s| {
-        for _ in 0..shared.config.acceptors.max(1) {
-            let shared = Arc::clone(&shared);
-            let listener = &listener;
-            s.spawn(move || accept_loop(listener, &shared));
-        }
-        for _ in 0..shared.config.conn_workers.max(1) {
+        let listener = &listener;
+        let acceptor = Arc::clone(&shared);
+        s.spawn(move || accept_loop(listener, &acceptor));
+        for _ in 0..workers {
             let shared = Arc::clone(&shared);
             s.spawn(move || worker_loop(&shared));
         }

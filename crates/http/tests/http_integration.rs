@@ -185,7 +185,6 @@ fn oversized_requests_get_413_or_431_without_panicking() {
 fn connection_backpressure_rejects_with_503() {
     let system = test_system(ServingConfig::default(), &["sleeping bag"]);
     let config = ServerConfig {
-        acceptors: 1,
         conn_workers: 1,
         conn_backlog: 1,
         admission: AdmissionPolicy::RejectNew,
@@ -222,7 +221,6 @@ fn connection_backpressure_rejects_with_503() {
 fn connection_backpressure_sheds_oldest() {
     let system = test_system(ServingConfig::default(), &["sleeping bag"]);
     let config = ServerConfig {
-        acceptors: 1,
         conn_workers: 1,
         conn_backlog: 1,
         admission: AdmissionPolicy::DropOldest,
@@ -256,6 +254,33 @@ fn connection_backpressure_sheds_oldest() {
         "shed connection got {buf:?}"
     );
     assert_eq!(handle.stats().shed_conns, 1);
+    handle.shutdown();
+}
+
+/// `conn_workers: 0` still runs one connection worker beside the accept
+/// loop: a request is answered instead of waiting behind an accept loop
+/// that owns the only thread.
+#[test]
+fn zero_conn_workers_still_serves() {
+    let system = test_system(ServingConfig::default(), &[]);
+    let config = ServerConfig {
+        conn_workers: 0,
+        ..ServerConfig::default()
+    };
+    let handle = HttpServer::start(system, config).expect("bind ephemeral");
+
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .unwrap();
+    stream
+        .write_all(b"GET /v1/snapshot-version HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut out = String::new();
+    stream
+        .read_to_string(&mut out)
+        .expect("answered within the read timeout");
+    assert!(out.starts_with("HTTP/1.1 200 "), "got {out:?}");
     handle.shutdown();
 }
 

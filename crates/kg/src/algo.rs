@@ -254,7 +254,7 @@ mod tests {
         let kg = star_graph(6);
         let snap = kg.freeze();
         let top = top_intents_global(&snap, 2);
-        assert_eq!(kg.node(top[0].0).text, "hub intent");
+        assert_eq!(kg.node_text(top[0].0), "hub intent");
         assert!(top[0].1 > top[1].1);
     }
 }

@@ -285,7 +285,7 @@ mod tests {
         let h = IntentHierarchy::build(&kg);
         let node = h.find("camping").unwrap();
         assert_eq!(node.products.len(), 1);
-        assert_eq!(kg.node(node.products[0]).text, "air mattress");
+        assert_eq!(kg.node_text(node.products[0]), "air mattress");
     }
 
     #[test]

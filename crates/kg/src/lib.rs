@@ -1,8 +1,8 @@
 //! # cosmo-kg
 //!
 //! The COSMO knowledge graph: schema (15 relations of Table 2, node and
-//! behaviour kinds), an interned mutable store for the offline pipeline,
-//! one frozen CSR format for the read side, per-category statistics
+//! behaviour kinds), a mutable store for the offline pipeline, one frozen
+//! CSR format for the read side, per-category statistics
 //! (Tables 1 & 3), and the intent hierarchy of Figure 8 that powers
 //! search navigation.
 //!
@@ -11,8 +11,10 @@
 //! [`KgSnapshotView`] that `cosmo-serving` reads at request time and
 //! `cosmo-nav` walks via the [`IntentHierarchy`] for multi-turn
 //! navigation — both through the [`GraphView`] trait, which the mutable
-//! store also implements (and answers bitwise-identically). JSON
-//! (de)serialisation of the mutable store remains for offline interchange.
+//! store also implements (and answers bitwise-identically). The store
+//! keeps its nodes in a [`StreamInterner`], the node table the snapshot
+//! encoder writes, so a graph has one id assignment whichever way it is
+//! frozen; the frozen file is the only persisted graph format.
 //!
 //! The frozen graph has one binary format ([`snapshot`]): 64-byte-aligned
 //! sections that [`KgSnapshotView`] serves in place, out of memory-mapped
@@ -40,6 +42,6 @@ pub use hierarchy::IntentHierarchy;
 pub use schema::{BehaviorKind, NodeKind, Relation, TailType};
 pub use snapshot::{KgSnapshotView, SnapshotError, Verify, FORMAT_VERSION_V2};
 pub use stats::{summarize, CategoryRow, KgStats, KgSummary, CATEGORIES};
-pub use store::{Edge, EdgeId, KnowledgeGraph, Node, NodeId};
+pub use store::{Edge, EdgeId, KnowledgeGraph, NodeId};
 pub use stream_writer::{SnapshotStreamWriter, StreamInterner, StreamOptions, StreamStats};
 pub use view::GraphView;

@@ -759,7 +759,7 @@ mod tests {
         assert_eq!(GraphView::num_edges(&snap), GraphView::num_edges(&kg));
         for i in 0..kg.num_nodes() {
             let id = NodeId(i as u32);
-            let (kind, text) = (kg.node(id).kind, kg.node(id).text.as_str());
+            let (kind, text) = (kg.node_kind(id), kg.node_text(id));
             assert_eq!(GraphView::node_kind(&snap, id), kind);
             assert_eq!(GraphView::node_text(&snap, id), text);
             assert_eq!(GraphView::find_node(&snap, kind, text), Some(id));

@@ -8,7 +8,9 @@
 //! The store is append-oriented (the pipeline only ever adds knowledge) with
 //! duplicate-edge merging, and maintains adjacency indexes for the serving
 //! path: `tails_of` powers intent lookup for a query/product, `heads_of`
-//! powers reverse navigation from an intention to products.
+//! powers reverse navigation from an intention to products. Nodes live in
+//! a [`StreamInterner`], the same table the streaming writer encodes, so
+//! [`KnowledgeGraph::freeze`] hands it to the encoder as is.
 
 use crate::schema::{BehaviorKind, NodeKind, Relation};
 use crate::snapshot::{KgSnapshotView, Verify};
@@ -25,15 +27,6 @@ pub struct NodeId(pub u32);
 /// Dense edge handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EdgeId(pub u32);
-
-/// A node: product, query, or intention tail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Node {
-    /// Node kind.
-    pub kind: NodeKind,
-    /// Surface text (canonicalised for intentions).
-    pub text: String,
-}
 
 /// A knowledge edge `(head, relation, tail)` with provenance and scores.
 ///
@@ -64,17 +57,12 @@ pub struct Edge {
 }
 
 /// The knowledge graph.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct KnowledgeGraph {
-    nodes: Vec<Node>,
+    nodes: StreamInterner,
     edges: Vec<Edge>,
-    #[serde(skip)]
-    node_index: FxHashMap<(NodeKind, String), NodeId>,
-    #[serde(skip)]
     edge_index: FxHashMap<(NodeId, Relation, NodeId), EdgeId>,
-    #[serde(skip)]
     out_adj: FxHashMap<NodeId, Vec<EdgeId>>,
-    #[serde(skip)]
     in_adj: FxHashMap<NodeId, Vec<EdgeId>>,
 }
 
@@ -86,26 +74,22 @@ impl KnowledgeGraph {
 
     /// Intern a node, returning its id (idempotent per `(kind, text)`).
     pub fn intern_node(&mut self, kind: NodeKind, text: &str) -> NodeId {
-        if let Some(&id) = self.node_index.get(&(kind, text.to_string())) {
-            return id;
-        }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            kind,
-            text: text.to_string(),
-        });
-        self.node_index.insert((kind, text.to_string()), id);
-        id
+        self.nodes.intern(kind, text)
     }
 
     /// Look up an existing node.
     pub fn find_node(&self, kind: NodeKind, text: &str) -> Option<NodeId> {
-        self.node_index.get(&(kind, text.to_string())).copied()
+        self.nodes.find(kind, text)
     }
 
-    /// Node payload.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0 as usize]
+    /// Kind of a node.
+    pub fn node_kind(&self, id: NodeId) -> NodeKind {
+        self.nodes.node_kind(id.0)
+    }
+
+    /// Surface text of a node (canonicalised for intentions).
+    pub fn node_text(&self, id: NodeId) -> &str {
+        self.nodes.node_text(id.0)
     }
 
     /// Edge payload.
@@ -176,12 +160,10 @@ impl KnowledgeGraph {
             .map(|(i, e)| (EdgeId(i as u32), e))
     }
 
-    /// Iterate all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i as u32), n))
+    /// Iterate all nodes as `(id, kind, text)`, in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, NodeKind, &str)> {
+        (0..self.nodes.len() as u32)
+            .map(|i| (NodeId(i), self.nodes.node_kind(i), self.nodes.node_text(i)))
     }
 
     /// Outgoing edges of `head` (knowledge about a product/query).
@@ -227,15 +209,10 @@ impl KnowledgeGraph {
         crate::view::rank_intents(self.tails_of(head).collect(), k)
     }
 
-    /// Freeze into a read-optimised [`KgSnapshotView`]: the nodes in id
-    /// order and the edges go through the one snapshot encoder, which
-    /// finishes into an owned buffer — no disk is touched.
+    /// Freeze into a read-optimised [`KgSnapshotView`]: the node table
+    /// and the edges go through the one snapshot encoder, which finishes
+    /// into an owned buffer — no disk is touched.
     pub fn freeze(&self) -> KgSnapshotView {
-        let mut nodes = StreamInterner::new();
-        for (id, node) in self.nodes() {
-            let interned = nodes.intern(node.kind, &node.text);
-            debug_assert_eq!(interned, id, "store nodes are unique");
-        }
         // A buffer no store can fill: the writer never spills.
         let mut writer = SnapshotStreamWriter::new(StreamOptions {
             buffer_edges: usize::MAX,
@@ -245,59 +222,11 @@ impl KnowledgeGraph {
             .edges
             .iter()
             .try_for_each(|e| writer.push(e.clone()))
-            .and_then(|()| writer.finish_in_memory(&nodes))
+            .and_then(|()| writer.finish_in_memory(&self.nodes))
             .and_then(|bytes| KgSnapshotView::from_bytes(bytes, Verify::Structural));
         // PANIC: without spills the encode is pure in-memory work over
         // the store's own dense u32 ids, so no I/O or range error exists
         frozen.expect("in-memory freeze of a valid store")
-    }
-
-    /// Rebuild the skipped (non-serialised) indexes after deserialisation.
-    pub fn rebuild_indexes(&mut self) {
-        self.node_index.clear();
-        self.edge_index.clear();
-        self.out_adj.clear();
-        self.in_adj.clear();
-        for (i, n) in self.nodes.iter().enumerate() {
-            self.node_index
-                .insert((n.kind, n.text.clone()), NodeId(i as u32));
-        }
-        for (i, e) in self.edges.iter().enumerate() {
-            let eid = EdgeId(i as u32);
-            self.edge_index.insert((e.head, e.relation, e.tail), eid);
-            self.out_adj.entry(e.head).or_default().push(eid);
-            self.in_adj.entry(e.tail).or_default().push(eid);
-        }
-        // Restore the sorted-adjacency invariant maintained by `add_edge`.
-        // DETERMINISM: each list is sorted in place independently; the
-        // visit order across map entries is not observable.
-        for list in self.out_adj.values_mut() {
-            list.sort_unstable_by_key(|&e| {
-                let o = &self.edges[e.0 as usize];
-                (o.relation.index(), o.tail)
-            });
-        }
-        // DETERMINISM: per-entry in-place sort, as above.
-        for list in self.in_adj.values_mut() {
-            list.sort_unstable_by_key(|&e| {
-                let i = &self.edges[e.0 as usize];
-                (i.head, i.relation.index())
-            });
-        }
-    }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        // PANIC: serialising plain in-memory data never errors
-        serde_json::to_string(self).expect("KG serialisation cannot fail")
-    }
-
-    /// Deserialize from JSON produced by [`KnowledgeGraph::to_json`] and
-    /// rebuild indexes.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        let mut kg: KnowledgeGraph = serde_json::from_str(s)?;
-        kg.rebuild_indexes();
-        Ok(kg)
     }
 }
 
@@ -406,8 +335,8 @@ mod tests {
         }
         let top = kg.top_intents(h, 2);
         assert_eq!(top.len(), 2);
-        assert_eq!(kg.node(top[0].tail).text, "keep warm");
-        assert_eq!(kg.node(top[1].tail).text, "gift");
+        assert_eq!(kg.node_text(top[0].tail), "keep warm");
+        assert_eq!(kg.node_text(top[1].tail), "gift");
     }
 
     #[test]
@@ -436,20 +365,9 @@ mod tests {
         assert_eq!(top.len(), 3);
         // total_cmp orders NaN above every finite float, so the NaN edge
         // ranks first under the descending sort — deterministically.
-        assert_eq!(kg.node(top[0].tail).text, "broken");
-        assert_eq!(kg.node(top[1].tail).text, "keep warm");
-        assert_eq!(kg.node(top[2].tail).text, "gift");
-    }
-
-    #[test]
-    fn json_roundtrip_rebuilds_indexes() {
-        let kg = tiny_graph();
-        let json = kg.to_json();
-        let kg2 = KnowledgeGraph::from_json(&json).unwrap();
-        assert_eq!(kg2.num_nodes(), kg.num_nodes());
-        assert_eq!(kg2.num_edges(), kg.num_edges());
-        let q = kg2.find_node(NodeKind::Query, "camping").unwrap();
-        assert_eq!(kg2.out_degree(q), 1);
+        assert_eq!(kg.node_text(top[0].tail), "broken");
+        assert_eq!(kg.node_text(top[1].tail), "keep warm");
+        assert_eq!(kg.node_text(top[2].tail), "gift");
     }
 
     #[test]

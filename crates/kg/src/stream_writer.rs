@@ -12,7 +12,8 @@
 //!
 //! * [`StreamInterner`] — node interning straight into the final arena
 //!   layout (kinds + text offsets + one concatenated `String`), indexed by
-//!   a `u64` key hash instead of owned `(kind, String)` keys.
+//!   a `u64` key hash instead of owned `(kind, String)` keys. It is also
+//!   the mutable store's node table, so `freeze` encodes it as is.
 //! * [`SnapshotStreamWriter`] — accepts edges in arrival order, buffers a
 //!   bounded window, and spills each window to a temp file as a run sorted
 //!   by the CSR key `(head, relation, tail)` (stable, so arrival order
@@ -98,13 +99,14 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Node interning directly into the frozen arena layout.
 ///
-/// Ids are assigned densely in first-intern order — feeding the same
-/// `(kind, text)` sequence to this and to `KnowledgeGraph::intern_node`
-/// yields identical ids, which is what keeps the streamed snapshot
+/// Ids are assigned densely in first-intern order. It is also the node
+/// table of [`KnowledgeGraph`](crate::store::KnowledgeGraph), so feeding
+/// the same `(kind, text)` sequence to the store and to a streaming
+/// writer yields identical ids, which is what keeps the streamed snapshot
 /// byte-identical to the in-memory freeze. The index maps a 64-bit key
 /// hash to the id; genuine hash collisions (vanishingly rare at u64 width,
 /// but checked — never assumed away) fall back to a linear side list.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 pub struct StreamInterner {
     kinds: Vec<NodeKind>,
     /// `n+1` arena byte offsets, exactly the frozen `text_offsets` section.
@@ -116,13 +118,22 @@ pub struct StreamInterner {
     collisions: Vec<(u64, u32)>,
 }
 
+impl Default for StreamInterner {
+    fn default() -> Self {
+        StreamInterner {
+            kinds: Vec::new(),
+            text_offsets: vec![0],
+            arena: String::new(),
+            index: FxHashMap::default(),
+            collisions: Vec::new(),
+        }
+    }
+}
+
 impl StreamInterner {
     /// Empty interner.
     pub fn new() -> Self {
-        StreamInterner {
-            text_offsets: vec![0],
-            ..StreamInterner::default()
-        }
+        StreamInterner::default()
     }
 
     fn key_hash(kind: NodeKind, text: &str) -> u64 {
@@ -977,6 +988,15 @@ mod tests {
             assert_eq!(w.finish_hash(), hash_bytes(&payload), "chunks {chunks:?}");
             assert_eq!(w.inner, payload);
         }
+    }
+
+    #[test]
+    fn default_interner_round_trips_text() {
+        let mut interner = StreamInterner::default();
+        let id = interner.intern(NodeKind::Query, "tent");
+        assert_eq!(interner.node_text(id.0), "tent");
+        assert_eq!(interner.node_kind(id.0), NodeKind::Query);
+        assert_eq!(interner.find(NodeKind::Query, "tent"), Some(id));
     }
 
     #[test]

@@ -72,11 +72,11 @@ impl GraphView for KnowledgeGraph {
     }
 
     fn node_kind(&self, id: NodeId) -> NodeKind {
-        self.node(id).kind
+        KnowledgeGraph::node_kind(self, id)
     }
 
     fn node_text(&self, id: NodeId) -> &str {
-        &self.node(id).text
+        KnowledgeGraph::node_text(self, id)
     }
 
     fn out_degree(&self, id: NodeId) -> usize {

@@ -41,7 +41,7 @@ pub fn pair_knowledge(kg: &KnowledgeGraph, lm: &CosmoLm, query: &str, product: &
             let mut tails: Vec<(Option<Relation>, String)> = kg
                 .top_intents(n, 4)
                 .iter()
-                .map(|e| (Some(e.relation), kg.node(e.tail).text.clone()))
+                .map(|e| (Some(e.relation), kg.node_text(e.tail).to_string()))
                 .collect();
             // USED_WITH tails carry the complement structure; surface the
             // best two even when they rank below the generic top-4
@@ -52,7 +52,7 @@ pub fn pair_knowledge(kg: &KnowledgeGraph, lm: &CosmoLm, query: &str, product: &
                     (
                         i,
                         e.typicality * (1.0 + e.support as f32).ln(),
-                        kg.node(e.tail).text.clone(),
+                        kg.node_text(e.tail).to_string(),
                     )
                 })
                 .collect();

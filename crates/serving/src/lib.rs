@@ -91,4 +91,4 @@ pub use protocol::{
 pub use sim::{query_universe, simulate, DayReport, TrafficConfig};
 pub use swap::{SnapshotGeneration, SnapshotHandle};
 pub use system::{Served, ServingConfig, ServingSystem, ServingSystemBuilder};
-pub use views::{navigation_view, recommendation_view, relevance_view};
+pub use views::recommendation_view;

@@ -3,35 +3,15 @@
 //! downstream applications, providing enriched features for improved user
 //! interaction").
 //!
-//! Each consumer of the serving stack needs the cached
-//! [`StructuredFeatures`] in a different shape:
-//!
-//! * **search relevance** consumes the knowledge feature `G` — a rendered
-//!   text span concatenated into the cross-encoder input (§4.1);
-//! * **session recommendation** consumes a dense/sparse knowledge vector
-//!   per query (§4.2.3);
-//! * **search navigation** consumes ranked refinement labels (§4.3).
-//!
-//! These adapters are pure functions of the cached features, so every
-//! downstream surface shares one cache entry per query.
+//! Session recommendation consumes the cached [`StructuredFeatures`] as a
+//! dense/sparse knowledge vector per query (§4.2.3). The adapter is a pure
+//! function of the cached features, so it shares the query's one cache
+//! entry with every other consumer. Search relevance renders its own
+//! knowledge span (`cosmo-relevance`) and navigation answers through
+//! `cosmo-nav`'s `NavigationEngine`.
 
 use crate::features::StructuredFeatures;
 use cosmo_text::hash::hash_str_ns;
-
-/// Render the relevance feature `G` for a query's cached features: the
-/// intent key-value pairs as a text span ready to concatenate into a
-/// `[Q, P, G]` cross-encoder input.
-pub fn relevance_view(f: &StructuredFeatures) -> String {
-    let mut parts: Vec<String> = f
-        .intents
-        .iter()
-        .map(|(rel, tail, _)| format!("query intent [{}] {}", rel.name(), tail))
-        .collect();
-    if let Some(strong) = &f.strong_intent {
-        parts.push(format!("strong intent {strong}"));
-    }
-    parts.join(" . ")
-}
 
 /// Render the recommendation knowledge vector for a query's cached
 /// features: a sparse indicator over hashed tail ids (buckets `0..dim/2`)
@@ -59,27 +39,6 @@ pub fn recommendation_view(f: &StructuredFeatures, dim: usize) -> Vec<f32> {
     v
 }
 
-/// Render navigation refinements for a query's cached features: the intent
-/// tails ranked by score, deduplicated — the widget labels of Figure 9.
-pub fn navigation_view(f: &StructuredFeatures, k: usize) -> Vec<String> {
-    let mut ranked: Vec<(&str, f32)> = f
-        .intents
-        .iter()
-        .map(|(_, tail, score)| (tail.as_str(), *score))
-        .collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-    let mut out: Vec<String> = Vec::with_capacity(k);
-    for (tail, _) in ranked {
-        if !out.iter().any(|t| t == tail) {
-            out.push(tail.to_string());
-            if out.len() >= k {
-                break;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,14 +58,6 @@ mod tests {
     }
 
     #[test]
-    fn relevance_view_renders_relations_and_strong_intent() {
-        let g = relevance_view(&features());
-        assert!(g.contains("[USED_FOR_EVE] sleeping outdoors"));
-        assert!(g.contains("[CAPABLE_OF] keeping warm"));
-        assert!(g.contains("strong intent sleeping outdoors"));
-    }
-
-    #[test]
     fn recommendation_view_is_normalised_with_query_bucket() {
         let v = recommendation_view(&features(), 64);
         assert_eq!(v.len(), 64);
@@ -119,14 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn navigation_view_ranks_and_dedupes() {
-        let labels = navigation_view(&features(), 5);
-        assert_eq!(labels, vec!["sleeping outdoors", "keeping warm"]);
-        let top1 = navigation_view(&features(), 1);
-        assert_eq!(top1, vec!["sleeping outdoors"]);
-    }
-
-    #[test]
     fn empty_features_yield_empty_views() {
         let f = StructuredFeatures {
             query: "q".into(),
@@ -134,8 +77,6 @@ mod tests {
             subcategory: vec![],
             strong_intent: None,
         };
-        assert!(relevance_view(&f).is_empty());
-        assert!(navigation_view(&f, 3).is_empty());
         let v = recommendation_view(&f, 8);
         assert_eq!(v[..4].iter().sum::<f32>(), 0.0);
         assert_eq!(v[4..].iter().sum::<f32>(), 1.0, "query bucket always set");

@@ -1,9 +1,9 @@
 //! Build a knowledge graph step by step — running each pipeline stage
 //! manually instead of through `cosmo::core::run`, and saving the result
-//! as a JSON snapshot.
+//! as a verified v2 snapshot file.
 //!
 //! ```text
-//! cargo run --release --example build_kg -- /tmp/cosmo_kg.json
+//! cargo run --release --example build_kg -- /tmp/cosmo_kg.kg2
 //! ```
 
 use cosmo::core::{
@@ -15,7 +15,7 @@ use cosmo::teacher::{Teacher, TeacherConfig};
 fn main() {
     let path = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "/tmp/cosmo_kg.json".to_string());
+        .unwrap_or_else(|| "/tmp/cosmo_kg.kg2".to_string());
 
     // 1. A synthetic e-commerce world with ground-truth intent profiles.
     let world = World::generate(WorldConfig::tiny(7));
@@ -114,16 +114,14 @@ fn main() {
     }
     println!("kg: {} nodes, {} edges", kg.num_nodes(), kg.num_edges());
 
-    // 8. Snapshot to JSON and read it back.
-    std::fs::write(&path, kg.to_json()).expect("write snapshot");
-    let reloaded = cosmo::kg::KnowledgeGraph::from_json(
-        &std::fs::read_to_string(&path).expect("read snapshot"),
-    )
-    .expect("parse snapshot");
+    // 8. Freeze to a v2 snapshot file and reopen it fully verified.
+    std::fs::write(&path, kg.freeze().as_bytes()).expect("write snapshot");
+    let reloaded = cosmo::kg::KgSnapshotView::open_verified(std::path::Path::new(&path))
+        .expect("open snapshot");
     println!(
         "snapshot round-trip ok: {} ({} bytes)",
         path,
         std::fs::metadata(&path).unwrap().len()
     );
-    assert_eq!(reloaded.num_edges(), kg.num_edges());
+    assert_eq!(cosmo::kg::GraphView::num_edges(&reloaded), kg.num_edges());
 }

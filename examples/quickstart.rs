@@ -44,15 +44,15 @@ fn main() {
     let query = out
         .kg
         .nodes()
-        .find(|(_, n)| n.kind == NodeKind::Query)
-        .map(|(id, n)| (id, n.text.clone()))
+        .find(|&(_, kind, _)| kind == NodeKind::Query)
+        .map(|(id, _, text)| (id, text.to_string()))
         .expect("the KG contains query nodes");
     println!("\n== intentions for query \"{}\" ==", query.1);
     for edge in out.kg.top_intents(query.0, 5) {
         println!(
             "  [{}] {} (typicality {:.2}, support {})",
             edge.relation.name(),
-            out.kg.node(edge.tail).text,
+            out.kg.node_text(edge.tail),
             edge.typicality,
             edge.support
         );

@@ -3,7 +3,7 @@
 //! tiny-scale run.
 
 use cosmo::core::{run, PipelineConfig, PipelineOutput};
-use cosmo::kg::{BehaviorKind, NodeKind};
+use cosmo::kg::{BehaviorKind, GraphView, KgSnapshotView, NodeKind};
 use cosmo::lm::{build_instructions, tail_vocab_from_pipeline, CosmoLm, StudentConfig};
 use cosmo::nav::{NavSession, NavigationEngine};
 use cosmo::serving::{ServeRequest, ServingConfig, ServingSystem};
@@ -76,9 +76,9 @@ fn serving_round_trip_over_pipeline_kg() {
     let preload: Vec<String> = out
         .kg
         .nodes()
-        .filter(|(_, n)| n.kind == NodeKind::Query)
+        .filter(|&(_, kind, _)| kind == NodeKind::Query)
         .take(20)
-        .map(|(_, n)| n.text.clone())
+        .map(|(_, _, text)| text.to_string())
         .collect();
     assert!(!preload.is_empty());
     let system = ServingSystem::builder()
@@ -119,15 +119,20 @@ fn navigation_runs_over_pipeline_kg() {
 #[test]
 fn kg_snapshot_survives_serialisation() {
     let out = pipeline();
-    let json = out.kg.to_json();
-    let kg2 = cosmo::kg::KnowledgeGraph::from_json(&json).unwrap();
-    assert_eq!(kg2.num_nodes(), out.kg.num_nodes());
-    assert_eq!(kg2.num_edges(), out.kg.num_edges());
-    // adjacency still works after round-trip
-    let q = kg2
+    let path = std::env::temp_dir().join(format!("cosmo_e2e_kg_{}.kg2", std::process::id()));
+    std::fs::write(&path, out.kg.freeze().as_bytes()).unwrap();
+    let opened = KgSnapshotView::open_verified(&path);
+    std::fs::remove_file(&path).ok();
+    let snap = opened.expect("frozen pipeline KG reopens verified");
+    assert_eq!(GraphView::num_nodes(&snap), out.kg.num_nodes());
+    assert_eq!(GraphView::num_edges(&snap), out.kg.num_edges());
+    // the reopened file ranks a query's intents exactly as the store does
+    let (q, _, _) = out
+        .kg
         .nodes()
-        .find(|(_, n)| n.kind == NodeKind::Query)
-        .map(|(id, _)| id)
+        .find(|&(id, kind, _)| kind == NodeKind::Query && out.kg.out_degree(id) > 0)
         .unwrap();
-    let _ = kg2.top_intents(q, 3);
+    let expected = out.kg.top_intents(q, 3);
+    assert!(!expected.is_empty());
+    assert_eq!(GraphView::top_intents(&snap, q, 3), expected);
 }
