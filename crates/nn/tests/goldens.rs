@@ -104,3 +104,141 @@ fn unfused_tier_matches_default_goldens_in_every_config() {
         assert_eq!(want, have, "unfused tier bits drifted");
     }
 }
+
+/// Bag ids per example: bag `a` draws rows `0..20` of the shared table,
+/// bag `b` rows `20..40`; both repeat ids within a bag and across the
+/// examples of a shard.
+fn training_examples() -> Vec<(Vec<usize>, Vec<usize>, usize)> {
+    (0..12)
+        .map(|i| {
+            let a = vec![i % 7, (i * 3) % 20, i % 7, (i * 5 + 1) % 20];
+            let b = vec![20 + (i * 2) % 20, 20 + i % 4, 20 + (i * 2) % 20];
+            (a, b, i % 3)
+        })
+        .collect()
+}
+
+/// Flatten the bags of `examples` into one gather's ids plus segment ids.
+fn flat_bags<'a>(bags: impl Iterator<Item = &'a Vec<usize>>) -> (Vec<usize>, Vec<usize>) {
+    let mut ids = Vec::new();
+    let mut segments = Vec::new();
+    for (seg, bag) in bags.enumerate() {
+        ids.extend_from_slice(bag);
+        segments.extend(std::iter::repeat_n(seg, bag.len()));
+    }
+    (ids, segments)
+}
+
+/// Two-tower bag classifier loss over `examples`, scaled by `weight`:
+/// the shared table is gathered twice on one tape, once per bag.
+fn two_tower_loss(
+    tape: &mut cosmo_nn::Tape,
+    store: &cosmo_nn::ParamStore,
+    emb: &cosmo_nn::layers::Embedding,
+    head: &cosmo_nn::layers::Linear,
+    examples: &[(Vec<usize>, Vec<usize>, usize)],
+    weight: f32,
+) -> cosmo_nn::Var {
+    let n = examples.len();
+    let (ids_a, seg_a) = flat_bags(examples.iter().map(|e| &e.0));
+    let (ids_b, seg_b) = flat_bags(examples.iter().map(|e| &e.1));
+    let targets: Vec<usize> = examples.iter().map(|e| e.2).collect();
+    let rows_a = emb.forward(tape, store, &ids_a);
+    let pooled_a = tape.segment_mean(rows_a, &seg_a, n);
+    let rows_b = emb.forward(tape, store, &ids_b);
+    let pooled_b = tape.segment_mean(rows_b, &seg_b, n);
+    let cat = tape.concat_cols(pooled_a, pooled_b);
+    let logits = head.forward(tape, store, cat);
+    let loss = tape.cross_entropy(logits, &targets);
+    tape.scale(loss, weight)
+}
+
+/// FNV-1a over every parameter's value bits, in registration order.
+fn store_digest(store: &cosmo_nn::ParamStore) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for id in store.ids() {
+        let d = digest(store.value(id));
+        for b in d.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Expected trained-weight digests for (Adam with weight decay over three
+/// microbatch shards, SGD with momentum and weight decay over one shard)
+/// in the active configuration.
+#[cfg(not(feature = "fast-math"))]
+const TRAINING_GOLDENS: [u64; 2] = [0xb77d43dd89852efb, 0xf09ff2dcc36c28ed];
+#[cfg(feature = "fast-math")]
+const TRAINING_GOLDENS: [u64; 2] = [0x8b221ce98136cdfe, 0x2ca35cd9dae2f2e5];
+
+/// Pins the bits of whole training runs through the embedding gather,
+/// segment means, a dense head, the shard merge and both optimizers.
+///
+/// The Adam run splits each 12-example batch into three shards, so the
+/// second and third shards accumulate into a non-zero store gradient. Its
+/// two bags draw disjoint rows of the table. The SGD run keeps the batch
+/// on one tape and lets the two bags share rows, so one table row collects
+/// gradient from both gathers of a tape.
+#[test]
+fn training_bits_match_pinned_goldens() {
+    use cosmo_nn::layers::{Embedding, Linear};
+    use cosmo_nn::opt::{Adam, Sgd};
+    use cosmo_nn::train::{shard_ranges, ShardRunner};
+    use cosmo_nn::ParamStore;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let build = || {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(0x601D);
+        let emb = Embedding::new(&mut store, "emb", 40, 6, &mut rng);
+        let head = Linear::new(&mut store, "head", 12, 3, &mut rng);
+        (store, emb, head)
+    };
+    let examples = training_examples();
+    let mut runner = ShardRunner::new(1);
+
+    let (mut store, emb, head) = build();
+    let mut adam = Adam::new(0.05);
+    adam.weight_decay = 0.01;
+    let shards = shard_ranges(examples.len(), 4);
+    for _ in 0..6 {
+        runner.grad_step(&mut store, shards.len(), |tape, s, i| {
+            let r = shards[i].clone();
+            let weight = r.len() as f32 / examples.len() as f32;
+            two_tower_loss(tape, s, &emb, &head, &examples[r], weight)
+        });
+        adam.step(&mut store);
+    }
+    let adam_digest = store_digest(&store);
+
+    // shift bag `b` into rows 10..30 so it overlaps bag `a`'s rows
+    let overlapping: Vec<_> = examples
+        .iter()
+        .map(|(a, b, t)| (a.clone(), b.iter().map(|&x| x - 10).collect(), *t))
+        .collect();
+    let (mut store, emb, head) = build();
+    let mut sgd = Sgd::with_momentum(0.2, 0.9);
+    sgd.weight_decay = 0.001;
+    for _ in 0..6 {
+        runner.grad_step(&mut store, 1, |tape, s, _| {
+            two_tower_loss(tape, s, &emb, &head, &overlapping, 1.0)
+        });
+        sgd.step(&mut store);
+    }
+    let sgd_digest = store_digest(&store);
+
+    let got = [adam_digest, sgd_digest];
+    let names = ["adam_sharded", "sgd_momentum"];
+    for (&have, name) in got.iter().zip(names) {
+        eprintln!("training golden {name}: observed {have:#018x}");
+    }
+    for ((&want, &have), name) in TRAINING_GOLDENS.iter().zip(got.iter()).zip(names) {
+        assert_eq!(
+            want, have,
+            "{name} trained-weight bits drifted from pinned golden"
+        );
+    }
+}
