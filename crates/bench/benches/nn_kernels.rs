@@ -109,8 +109,7 @@ fn bench_embedding_bag(c: &mut Criterion) {
     g.bench_function("segment_mean_bag_64x30", |b| {
         b.iter(|| {
             let mut tape = Tape::new();
-            let table = emb.table(&mut tape, &store);
-            let rows = tape.gather(table, &ids);
+            let rows = emb.forward(&mut tape, &store, &ids);
             let pooled = tape.segment_mean(rows, &segments, 64);
             tape.value(pooled).sum()
         })

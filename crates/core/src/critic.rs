@@ -278,8 +278,7 @@ impl Critic {
                     segments.push(seg);
                 }
             }
-            let table = emb.table(tape, s);
-            let rows = tape.gather(table, &ids);
+            let rows = emb.forward(tape, s, &ids);
             let pooled = tape.segment_mean(rows, &segments, shard.len());
             let logit_p = head_plausible.forward(tape, s, pooled);
             let logit_t = head_typical.forward(tape, s, pooled);
@@ -505,7 +504,7 @@ mod tests {
     }
 
     /// The tape-free scoring path must reproduce the historical tape
-    /// formulation (param copy → gather → segment_mean → head forwards)
+    /// formulation (row gather → segment_mean → head forwards)
     /// bit for bit, including the empty-features zeros-input special case
     /// and repeated calls on recycled scratch buffers.
     #[test]
@@ -526,12 +525,11 @@ mod tests {
 
         let tape_score = |feats: &[usize]| -> (f32, f32) {
             let mut tape = Tape::new();
-            let table = critic.emb.table(&mut tape, &critic.store);
             let segments = vec![0usize; feats.len()];
             let pooled = if feats.is_empty() {
                 tape.input(cosmo_nn::Tensor::zeros(1, critic.emb.dim()))
             } else {
-                let rows = tape.gather(table, feats);
+                let rows = critic.emb.forward(&mut tape, &critic.store, feats);
                 tape.segment_mean(rows, &segments, 1)
             };
             let lp = critic

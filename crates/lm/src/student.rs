@@ -605,8 +605,7 @@ fn encode_inputs(
             segments.push(s);
         }
     }
-    let table = enc.table(tape, store);
-    let rows = tape.gather(table, &ids);
+    let rows = enc.forward(tape, store, &ids);
     tape.segment_mean(rows, &segments, inputs.len())
 }
 

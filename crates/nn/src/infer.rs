@@ -228,8 +228,7 @@ mod tests {
         let batch = 4;
 
         let mut tape = Tape::new();
-        let t = emb.table(&mut tape, &store);
-        let g = tape.gather(t, &ids);
+        let g = emb.forward(&mut tape, &store, &ids);
         let want = tape.segment_mean(g, &segments, batch);
 
         let mut counts = Vec::new();

@@ -90,8 +90,7 @@ impl Embedding {
 
     /// Look up a batch of ids → `[n×dim]`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, ids: &[usize]) -> Var {
-        let t = tape.param(store, self.table);
-        tape.gather(t, ids)
+        tape.gather(store, self.table, ids)
     }
 
     /// The whole table as a tape node (for full-vocabulary scoring).

@@ -1,4 +1,8 @@
 //! First-order optimizers over a [`ParamStore`].
+//!
+//! Each step makes one pass per parameter tensor, reading the gradient in
+//! place and updating the value and the optimizer state element by
+//! element; no gradient is copied.
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
@@ -45,26 +49,24 @@ impl Sgd {
                 self.velocity.push(Tensor::zeros(r, c));
             }
         }
+        let (lr, mom, wd) = (self.lr, self.momentum, self.weight_decay);
         for (i, id) in ids.into_iter().enumerate() {
             if store.is_frozen(id) {
                 continue;
             }
-            let wd = self.weight_decay;
-            let lr = self.lr;
-            let mom = self.momentum;
-            // grad + wd * value
-            let mut g = store.grad(id).clone();
-            if wd != 0.0 {
-                g.add_scaled_assign(store.value(id), wd);
-            }
+            let (value, grad) = store.value_mut_and_grad(id);
+            let wg = value.data_mut().iter_mut().zip(grad.data());
             if mom != 0.0 {
-                self.velocity[i].scale_assign(mom);
-                self.velocity[i].add_assign(&g);
-                store
-                    .value_mut(id)
-                    .add_scaled_assign(&self.velocity[i].clone(), -lr);
+                for ((w, &gx), vel) in wg.zip(self.velocity[i].data_mut()) {
+                    let g = if wd != 0.0 { gx + wd * *w } else { gx };
+                    *vel = *vel * mom + g;
+                    *w += -lr * *vel;
+                }
             } else {
-                store.value_mut(id).add_scaled_assign(&g, -lr);
+                for (w, &gx) in wg {
+                    let g = if wd != 0.0 { gx + wd * *w } else { gx };
+                    *w += -lr * g;
+                }
             }
         }
     }
@@ -119,35 +121,25 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (b1, b2, lr, eps, wd) = (self.beta1, self.beta2, self.lr, self.eps, self.weight_decay);
         for (i, id) in ids.into_iter().enumerate() {
             if store.is_frozen(id) {
                 continue;
             }
-            let mut g = store.grad(id).clone();
-            if self.weight_decay != 0.0 {
-                g.add_scaled_assign(store.value(id), self.weight_decay);
-            }
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            for ((mx, vx), &gx) in m
+            let (value, grad) = store.value_mut_and_grad(id);
+            for (((w, &gx), mx), vx) in value
                 .data_mut()
                 .iter_mut()
-                .zip(v.data_mut().iter_mut())
-                .zip(g.data().iter())
+                .zip(grad.data())
+                .zip(self.m[i].data_mut())
+                .zip(self.v[i].data_mut())
             {
-                *mx = self.beta1 * *mx + (1.0 - self.beta1) * gx;
-                *vx = self.beta2 * *vx + (1.0 - self.beta2) * gx * gx;
-            }
-            let value = store.value_mut(id);
-            for ((w, &mx), &vx) in value
-                .data_mut()
-                .iter_mut()
-                .zip(m.data().iter())
-                .zip(v.data().iter())
-            {
-                let mhat = mx / bc1;
-                let vhat = vx / bc2;
-                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                let g = if wd != 0.0 { gx + wd * *w } else { gx };
+                *mx = b1 * *mx + (1.0 - b1) * g;
+                *vx = b2 * *vx + (1.0 - b2) * g * g;
+                let mhat = *mx / bc1;
+                let vhat = *vx / bc2;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! A [`ParamStore`] owns every trainable tensor of a model. The training
 //! loop is: build a [`crate::Tape`], reference parameters with
-//! `tape.param(&store, id)`, compute the loss, `tape.backward(loss)`,
+//! `tape.param(&store, id)` (or gather rows of one with
+//! `tape.gather(&store, id, rows)`), compute the loss, `tape.backward(loss)`,
 //! `store.zero_grads()` (or accumulate across micro-batches),
 //! `tape.accumulate_param_grads(&mut store)`, then step an optimizer from
 //! [`crate::opt`].
@@ -57,6 +58,12 @@ impl ParamStore {
     /// Mutable gradient buffer.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.grads[id.0]
+    }
+
+    /// Mutable value and its gradient together (for optimizer steps that
+    /// read the gradient while writing the value).
+    pub fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        (&mut self.values[id.0], &self.grads[id.0])
     }
 
     /// Parameter name.

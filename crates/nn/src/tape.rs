@@ -3,9 +3,10 @@
 //! A [`Tape`] records a DAG of tensor operations built during a forward
 //! pass; [`Tape::backward`] then walks the nodes in reverse, propagating
 //! gradients with hand-derived rules per op. Parameters enter the tape
-//! as leaf copies tagged with their [`ParamId`]; after backward,
-//! [`Tape::accumulate_param_grads`] adds leaf gradients into the
-//! [`ParamStore`] so an optimizer can step.
+//! as leaves tagged with their [`ParamId`]: a whole-tensor copy
+//! ([`Tape::param`]) or just the rows a lookup needs ([`Tape::gather`]).
+//! After backward, [`Tape::accumulate_param_grads`] adds leaf gradients
+//! into the [`ParamStore`] so an optimizer can step.
 //!
 //! The op set is exactly what the COSMO models need: affine maps, GRU gates,
 //! attention (softmax + matmul), GNN message passing (matmul with a constant
@@ -23,6 +24,24 @@
 //! round-trip per recorded op after the first step. Buffer reuse never
 //! changes any computed value: the arithmetic (and therefore every result
 //! bit) is identical to a freshly allocated tape.
+//!
+//! # Row gathers
+//!
+//! An embedding lookup touches a handful of rows of a large table, so
+//! [`Tape::gather`] copies only those rows and keeps their `[n×d]`
+//! gradient; no table-sized buffer is built in either direction. The
+//! store receives exactly the bits a dense gradient (a zero table with
+//! each gathered row's gradient added in) would have given it:
+//!
+//! * each distinct row's contributions are summed in output-row order,
+//!   starting from `+0.0`, as the dense scatter summed them;
+//! * several gathers from one table on one tape combine those row sums
+//!   last gather first, the order in which a dense backward folds their
+//!   table gradients into one, and the result is added into the store
+//!   once;
+//! * rows no gather touched are skipped. A dense gradient adds `+0.0` to
+//!   them, which changes nothing: store gradients start at `+0.0` and
+//!   only ever receive sums, so they are never `-0.0`.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -55,8 +74,12 @@ enum Op {
     Sigmoid(Var),
     /// Elementwise natural log (inputs must be positive).
     Log(Var),
-    /// Row gather: output row `i` is parent row `idx[i]`.
-    Gather(Var, Vec<usize>),
+    /// Parameter row gather: output row `i` is row `rows[i]` of the
+    /// parameter. A leaf; its gradient is scattered into the store by
+    /// [`Tape::accumulate_param_grads`].
+    Gather(ParamId, Vec<usize>),
+    /// Row selection over a node: output row `i` is parent row `idx[i]`.
+    SelectRows(Var, Vec<usize>),
     MeanRows(Var),
     SumRows(Var),
     SumAll(Var),
@@ -95,6 +118,9 @@ pub struct Tape {
     /// Recycled backing buffers for node values, gradients and backward
     /// temporaries.
     free: Vec<Vec<f32>>,
+    /// Reused `(table row, gather node, output row)` order for scattering
+    /// gather gradients into the store.
+    scatter: Vec<(usize, usize, usize)>,
 }
 
 // ----------------------------------------------------------- pool helpers
@@ -350,17 +376,32 @@ impl Tape {
         self.push(v, Op::Log(a))
     }
 
-    /// Gather rows `idx` from `a`.
-    pub fn gather(&mut self, a: Var, idx: &[usize]) -> Var {
+    /// Gather rows `rows` of parameter `id` straight from the store →
+    /// `[n×d]`, copying only those rows (see the module docs for how the
+    /// gradient reaches the store).
+    pub fn gather(&mut self, store: &ParamStore, id: ParamId, rows: &[usize]) -> Var {
+        let mut buf = take_buf(&mut self.free);
+        let table = store.value(id);
+        for &r in rows {
+            assert!(r < table.rows(), "gather index {r} out of range");
+            buf.extend_from_slice(table.row_slice(r));
+        }
+        let v = Tensor::from_vec(rows.len(), table.cols(), buf);
+        self.push(v, Op::Gather(id, rows.to_vec()))
+    }
+
+    /// Select rows `idx` of node `a` (e.g. one position of a sequence of
+    /// hidden states).
+    pub fn select_rows(&mut self, a: Var, idx: &[usize]) -> Var {
         let mut buf = take_buf(&mut self.free);
         let av = &self.nodes[a.0].value;
         let cols = av.cols();
         for &r in idx {
-            assert!(r < av.rows(), "gather index {r} out of range");
+            assert!(r < av.rows(), "select_rows index {r} out of range");
             buf.extend_from_slice(av.row_slice(r));
         }
         let v = Tensor::from_vec(idx.len(), cols, buf);
-        self.push(v, Op::Gather(a, idx.to_vec()))
+        self.push(v, Op::SelectRows(a, idx.to_vec()))
     }
 
     /// Mean over rows: `[n×d] → [1×d]`.
@@ -525,7 +566,7 @@ impl Tape {
             (1, 1),
             "backward root must be a scalar"
         );
-        let Tape { nodes, free } = self;
+        let Tape { nodes, free, .. } = self;
         for n in nodes.iter_mut() {
             if let Some(g) = n.grad.take() {
                 free.push(g.into_data());
@@ -541,7 +582,7 @@ impl Tape {
                 continue;
             };
             match &node.op {
-                Op::Input | Op::Param(_) => {}
+                Op::Input | Op::Param(_) | Op::Gather(..) => {}
                 Op::Matmul(a, b) => {
                     let (av, bv) = (&parents[a.0].value, &parents[b.0].value);
                     let mut da = pooled_full(free, g.rows(), av.cols(), 0.0);
@@ -646,7 +687,7 @@ impl Tape {
                     let da = pooled_zip(free, g, &parents[a.0].value, |gx, x| gx / x);
                     accum_grad(&mut parents[a.0].grad, da, free);
                 }
-                Op::Gather(a, idx) => {
+                Op::SelectRows(a, idx) => {
                     let (rows, cols) = parents[a.0].value.shape();
                     let mut da = pooled_full(free, rows, cols, 0.0);
                     for (i_out, &r) in idx.iter().enumerate() {
@@ -774,14 +815,76 @@ impl Tape {
     }
 
     /// Add the gradients of all parameter leaves into the store's gradient
-    /// buffers (call after [`Tape::backward`]).
-    pub fn accumulate_param_grads(&self, store: &mut ParamStore) {
-        for node in &self.nodes {
-            if let (Op::Param(id), Some(g)) = (&node.op, &node.grad) {
-                store.grad_mut(*id).add_assign(g);
+    /// buffers (call after [`Tape::backward`]), in node order. All gathers
+    /// from one table are added together at the first of them.
+    pub fn accumulate_param_grads(&mut self, store: &mut ParamStore) {
+        let Tape {
+            nodes,
+            free,
+            scatter,
+        } = self;
+        for (i, node) in nodes.iter().enumerate() {
+            match (&node.op, &node.grad) {
+                (Op::Param(id), Some(g)) => store.grad_mut(*id).add_assign(g),
+                (Op::Gather(id, _), _)
+                    if !nodes[..i]
+                        .iter()
+                        .any(|n| matches!(&n.op, Op::Gather(p, _) if p == id)) =>
+                {
+                    scatter_gathers(nodes, *id, store.grad_mut(*id), free, scatter);
+                }
+                _ => {}
             }
         }
     }
+}
+
+/// Add the row gradients of every gather from parameter `id` into its
+/// store gradient `grad`, with the bits of the dense formulation (see the
+/// module docs).
+fn scatter_gathers(
+    nodes: &[Node],
+    id: ParamId,
+    grad: &mut Tensor,
+    free: &mut Vec<Vec<f32>>,
+    order: &mut Vec<(usize, usize, usize)>,
+) {
+    // Gathers last first, output rows in order within each; the stable
+    // sort by table row keeps both orders inside every row's run.
+    order.clear();
+    for (k, node) in nodes.iter().enumerate().rev() {
+        if let (Op::Gather(p, rows), Some(_)) = (&node.op, &node.grad) {
+            if *p == id {
+                order.extend(rows.iter().enumerate().map(|(i, &r)| (r, k, i)));
+            }
+        }
+    }
+    order.sort_by_key(|&(r, _, _)| r);
+    let mut sum = pooled_full(free, 1, grad.cols(), 0.0);
+    let mut part = pooled_full(free, 1, grad.cols(), 0.0);
+    for row_run in order.chunk_by(|a, b| a.0 == b.0) {
+        for (j, node_run) in row_run.chunk_by(|a, b| a.1 == b.1).enumerate() {
+            // the first gather's row sum is the running sum; later ones
+            // are summed apart and then folded in
+            let dst = if j == 0 { &mut sum } else { &mut part };
+            dst.zero_();
+            for &(_, k, i) in node_run {
+                if let Some(g) = &nodes[k].grad {
+                    for (o, &x) in dst.data_mut().iter_mut().zip(g.row_slice(i)) {
+                        *o += x;
+                    }
+                }
+            }
+            if j > 0 {
+                sum.add_assign(&part);
+            }
+        }
+        for (o, &x) in grad.row_slice_mut(row_run[0].0).iter_mut().zip(sum.data()) {
+            *o += x;
+        }
+    }
+    free.push(sum.into_data());
+    free.push(part.into_data());
 }
 
 #[inline]
@@ -899,9 +1002,8 @@ mod tests {
         );
         let w = store.add("w", Tensor::from_vec(3, 1, vec![0.3, -0.4, 0.2]));
         gradcheck(&mut store, &move |tape, s| {
-            let ev = tape.param(s, e);
             let wv = tape.param(s, w);
-            let g = tape.gather(ev, &[0, 3, 3, 1]);
+            let g = tape.gather(s, e, &[0, 3, 3, 1]);
             let m = tape.mean_rows(g);
             let logit = tape.matmul(m, wv);
             tape.bce_with_logits(logit, &[1.0])
@@ -963,9 +1065,8 @@ mod tests {
             Tensor::from_vec(4, 2, vec![0.3, 0.1, -0.2, 0.5, 0.7, -0.6, 0.05, 0.2]),
         );
         gradcheck(&mut store, &move |tape, s| {
-            let ev = tape.param(s, e);
-            let pos = tape.gather(ev, &[0, 1]);
-            let neg = tape.gather(ev, &[2, 3]);
+            let pos = tape.gather(s, e, &[0, 1]);
+            let neg = tape.gather(s, e, &[2, 3]);
             let cat = tape.concat_cols(pos, neg); // exercise concat grad
             let half = tape.scale(cat, 0.5);
             let both = tape.mul(half, half);
@@ -988,8 +1089,7 @@ mod tests {
             Tensor::from_vec(6, 2, (0..12).map(|i| (i as f32 * 0.31).cos()).collect()),
         );
         gradcheck(&mut store, &move |tape, s| {
-            let ev = tape.param(s, e);
-            let g = tape.gather(ev, &[0, 1, 2, 3, 4, 4]);
+            let g = tape.gather(s, e, &[0, 1, 2, 3, 4, 4]);
             // segments: {0,1} -> 0, {2} -> 1, segment 2 empty, {3,4,4} -> 3
             let m = tape.segment_mean(g, &[0, 0, 1, 3, 3, 3], 4);
             let sq = tape.mul(m, m);
@@ -1067,12 +1167,170 @@ mod tests {
         }
     }
 
+    /// A `[rows×cols]` tensor whose entries span seven orders of magnitude,
+    /// so that regrouping a sum of them changes its rounding.
+    fn varied(rows: usize, cols: usize, seed: usize) -> Tensor {
+        let scales = [1e-3f32, 0.37, 1.0, 311.0, 7e3];
+        let data = (0..rows * cols)
+            .map(|i| {
+                let k = (i + seed) * 2_654_435_761 % 1000;
+                scales[(i + seed) % 5] * (k as f32 / 997.0 - 0.5)
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    /// The dense table gradient of one gather: a zero table with output
+    /// row `i`'s gradient added into row `rows[i]`, in output-row order.
+    fn dense_scatter(table_rows: usize, rows: &[usize], g: &Tensor) -> Tensor {
+        let mut d = Tensor::zeros(table_rows, g.cols());
+        for (i, &r) in rows.iter().enumerate() {
+            for (o, &x) in d.row_slice_mut(r).iter_mut().zip(g.row_slice(i)) {
+                *o += x;
+            }
+        }
+        d
+    }
+
+    /// Gather `rows` of `e` with `sum(gather ⊙ w)` as its loss term, so the
+    /// gather's gradient is exactly `w`. Returns the term and `w`.
+    fn weighted_gather(
+        tape: &mut Tape,
+        store: &ParamStore,
+        e: ParamId,
+        rows: &[usize],
+    ) -> (Var, Tensor) {
+        let w = varied(rows.len(), 4, rows.len() * 3 + rows[0]);
+        let g = tape.gather(store, e, rows);
+        let wv = tape.input(w.clone());
+        let p = tape.mul(g, wv);
+        (tape.sum_all(p), w)
+    }
+
+    fn table_store() -> (ParamStore, ParamId) {
+        let mut store = ParamStore::new();
+        let e = store.add("emb", varied(6, 4, 11));
+        (store, e)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gather_copies_the_requested_rows() {
+        let (store, e) = table_store();
+        let mut tape = Tape::new();
+        let g = tape.gather(&store, e, &[4, 0, 4]);
+        assert_eq!(tape.value(g).shape(), (3, 4));
+        assert_eq!(tape.value(g).row_slice(0), store.value(e).row_slice(4));
+        assert_eq!(tape.value(g).row_slice(1), store.value(e).row_slice(0));
+        assert_eq!(tape.value(g).row_slice(2), store.value(e).row_slice(4));
+    }
+
+    #[test]
+    fn gather_with_repeated_ids_matches_dense_scatter_bitwise() {
+        let (mut store, e) = table_store();
+        let rows: Vec<usize> = (0..64).map(|i| [3, 1, 3, 3, 0, 1, 3, 5][i % 8]).collect();
+        let mut tape = Tape::new();
+        let (l, w) = weighted_gather(&mut tape, &store, e, &rows);
+        tape.backward(l);
+        store.zero_grads();
+        tape.accumulate_param_grads(&mut store);
+        let mut want = Tensor::zeros(6, 4);
+        want.add_assign(&dense_scatter(6, &rows, &w));
+        assert_eq!(bits(store.grad(e)), bits(&want));
+    }
+
+    #[test]
+    fn gathers_on_one_param_match_dense_backward_bitwise() {
+        let (mut store, e) = table_store();
+        let rows: [&[usize]; 3] = [&[2, 5, 2, 0, 2], &[5, 2, 1, 2], &[2, 0, 5, 5]];
+        // a non-zero store gradient, so the grouping of the adds shows
+        store.grad_mut(e).add_assign(&varied(6, 4, 5));
+        let before = store.grad(e).clone();
+        let mut tape = Tape::new();
+        let mut loss = None;
+        let mut dense = Vec::new();
+        for r in rows {
+            let (l, w) = weighted_gather(&mut tape, &store, e, r);
+            dense.push(dense_scatter(6, r, &w));
+            loss = Some(match loss {
+                Some(acc) => tape.add(acc, l),
+                None => l,
+            });
+        }
+        // a whole-table leaf of the same parameter after the gathers
+        let whole = tape.param(&store, e);
+        let ww = tape.input(varied(6, 4, 17));
+        let pw = tape.mul(whole, ww);
+        let lw = tape.sum_all(pw);
+        let l = tape.add(loss.unwrap(), lw);
+        tape.backward(l);
+        tape.accumulate_param_grads(&mut store);
+
+        // dense backward: the shared table node's gradient folds the
+        // gathers' scatters last first; the store adds it, then the
+        // whole-table leaf's gradient
+        let fold = |order: &[usize]| {
+            let mut table = dense[order[0]].clone();
+            for &k in &order[1..] {
+                table.add_assign(&dense[k]);
+            }
+            let mut out = before.clone();
+            out.add_assign(&table);
+            out.add_assign(tape.value(ww));
+            out
+        };
+        let want = fold(&[2, 1, 0]);
+        assert_eq!(bits(store.grad(e)), bits(&want));
+
+        // the data is order-sensitive: folding first gather first, or
+        // adding each gather into the store on its own, gives other bits
+        assert_ne!(bits(&fold(&[0, 1, 2])), bits(&want));
+        let mut separate = before;
+        for d in &dense {
+            separate.add_assign(d);
+        }
+        separate.add_assign(tape.value(ww));
+        assert_ne!(bits(&separate), bits(&want));
+    }
+
+    #[test]
+    fn sharded_gathers_accumulate_in_shard_order_bitwise() {
+        let (mut store, e) = table_store();
+        let shard_rows: [&[usize]; 3] = [&[1, 4, 1, 1], &[4, 4, 0, 1, 3], &[1, 3, 4]];
+        let mut shards: Vec<(Tape, Tensor)> = shard_rows
+            .iter()
+            .map(|rows| {
+                let mut tape = Tape::new();
+                let (l, w) = weighted_gather(&mut tape, &store, e, rows);
+                tape.backward(l);
+                (tape, w)
+            })
+            .collect();
+        store.zero_grads();
+        let mut want = Tensor::zeros(6, 4);
+        for ((tape, w), rows) in shards.iter_mut().zip(shard_rows) {
+            tape.accumulate_param_grads(&mut store);
+            want.add_assign(&dense_scatter(6, rows, w));
+        }
+        assert_eq!(bits(store.grad(e)), bits(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 6 out of range")]
+    fn gather_out_of_range_panics() {
+        let (store, e) = table_store();
+        let mut tape = Tape::new();
+        tape.gather(&store, e, &[0, 6]);
+    }
+
     /// One forward/backward through most of the op set, parameterized so a
     /// reused tape can be compared against fresh ones.
     fn mixed_step(tape: &mut Tape, store: &ParamStore, ids: &[ParamId], shift: f32) -> Var {
-        let emb = tape.param(store, ids[0]);
         let w = tape.param(store, ids[1]);
-        let g = tape.gather(emb, &[0, 2, 2, 1]);
+        let g = tape.gather(store, ids[0], &[0, 2, 2, 1]);
         let m = tape.segment_mean(g, &[0, 0, 1, 1], 2);
         let h = tape.matmul(m, w);
         let h = tape.tanh(h);

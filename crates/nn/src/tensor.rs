@@ -499,14 +499,6 @@ impl Tensor {
         }
     }
 
-    /// `self += s * other` elementwise.
-    pub fn add_scaled_assign(&mut self, other: &Tensor, s: f32) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += s * b;
-        }
-    }
-
     /// Elementwise sum into a new tensor.
     pub fn add(&self, other: &Tensor) -> Tensor {
         let mut out = self.clone();

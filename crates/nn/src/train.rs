@@ -128,7 +128,7 @@ impl ShardRunner {
             }
         }
         store.zero_grads();
-        for tape in tapes.iter() {
+        for tape in tapes.iter_mut() {
             tape.accumulate_param_grads(store);
         }
         losses

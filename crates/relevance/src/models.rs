@@ -306,7 +306,6 @@ fn forward_examples(
     buckets: usize,
     batch: &[&EsciExample],
 ) -> cosmo_nn::Var {
-    let table = emb.table(tape, store);
     let mut ids_a = Vec::new();
     let mut seg_a = Vec::new();
     let mut ids_b = Vec::new();
@@ -323,14 +322,14 @@ fn forward_examples(
         }
     }
     let pooled_a = {
-        let rows = tape.gather(table, &ids_a);
+        let rows = emb.forward(tape, store, &ids_a);
         tape.segment_mean(rows, &seg_a, batch.len())
     };
     let pooled = if arch == Architecture::CrossEncoder {
         pooled_a
     } else {
         // bi-encoder: second tower; w/ intent: the G segment
-        let rows = tape.gather(table, &ids_b);
+        let rows = emb.forward(tape, store, &ids_b);
         let pooled_b = tape.segment_mean(rows, &seg_b, batch.len());
         tape.concat_cols(pooled_a, pooled_b)
     };

@@ -118,7 +118,7 @@ impl GgnnCore {
     /// node, combined with the last item representation and the session
     /// mean (soft global preference).
     fn readout(&self, tape: &mut Tape, store: &ParamStore, h: Var, alias: &[usize]) -> Var {
-        let last = tape.gather(h, &[*alias.last().unwrap()]);
+        let last = tape.select_rows(h, &[*alias.last().unwrap()]);
         let mean = tape.mean_rows(h);
         let q = tape.add(last, mean);
         let pooled = attention_pool(tape, q, h);
@@ -254,7 +254,7 @@ fn gcsan_rep(
     let (nodes, alias, a_in, a_out) = session_graph(items);
     let h = core.propagate(tape, store, &nodes, &a_in, &a_out, 1);
     // sequence view + single-head self-attention
-    let seq = tape.gather(h, &alias);
+    let seq = tape.select_rows(h, &alias);
     let q = wq.forward(tape, store, seq);
     let k = wk.forward(tape, store, seq);
     let v = wv.forward(tape, store, seq);
@@ -265,7 +265,7 @@ fn gcsan_rep(
     let ctx = tape.scale(ctx, 0.5);
     let residual = tape.add(ctx, seq);
     // readout: last position + attention pool + sequence mean
-    let last = tape.gather(residual, &[alias.len() - 1]);
+    let last = tape.select_rows(residual, &[alias.len() - 1]);
     let mean = tape.mean_rows(residual);
     let q = tape.add(last, mean);
     let pooled = attention_pool(tape, q, residual);
@@ -518,8 +518,8 @@ fn cosmo_rep(
     // readout towards items serving the active intent
     let know_pre = tape.input(knowledge_matrix(ds, queries, knowledge_dim));
     let ghat_pre = knowledge_mlp.forward(tape, store, know_pre);
-    let glast_pre = tape.gather(ghat_pre, &[queries.len() - 1]);
-    let last_n = tape.gather(h, &[*alias.last().unwrap()]);
+    let glast_pre = tape.select_rows(ghat_pre, &[queries.len() - 1]);
+    let last_n = tape.select_rows(h, &[*alias.last().unwrap()]);
     let mean_n = tape.mean_rows(h);
     let q0 = tape.add(last_n, mean_n);
     let q = tape.add(q0, glast_pre);
@@ -532,7 +532,7 @@ fn cosmo_rep(
     // aligns it with the GNN feature space)
     // average pooling over steps plus the current (last) step
     let gmean = tape.mean_rows(ghat_pre);
-    let glast = tape.gather(ghat_pre, &[queries.len() - 1]);
+    let glast = tape.select_rows(ghat_pre, &[queries.len() - 1]);
     let kno = tape.concat_cols(gmean, glast);
     let all = tape.concat_cols(base, kno);
     fuse.forward(tape, store, all)

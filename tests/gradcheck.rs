@@ -85,9 +85,8 @@ proptest! {
         let w = store.add("w", Tensor::from_vec(2, 1, vec![0.3, -0.4]));
         let idx2 = idx.clone();
         check(&mut store, &move |tape, s| {
-            let ev = tape.param(s, e);
             let wv = tape.param(s, w);
-            let g = tape.gather(ev, &idx2);
+            let g = tape.gather(s, e, &idx2);
             let segs: Vec<usize> = (0..idx2.len()).map(|i| i % 2).collect();
             let m = tape.segment_mean(g, &segs, 2);
             let logits = tape.matmul(m, wv);
