@@ -1,10 +1,9 @@
 //! Pinned output bits of a trained student.
 //!
-//! A fixed small instruction set trains the student twice, once on whole
-//! batches and once split into microbatch shards. Each run's `generate`,
-//! `predict` and `embed_text` outputs are folded into a 64-bit FNV-1a
-//! digest over their exact bits, which must equal the pinned constant for
-//! the active kernel tier. A changed digest means training produced
+//! A fixed small instruction set trains the student on whole batches. The
+//! trained model's `generate`, `predict` and `embed_text` outputs are
+//! folded into a 64-bit FNV-1a digest over their exact bits, which must
+//! equal the pinned constant for the active kernel tier. A changed digest means training produced
 //! different weights: not a tolerance issue, a wrong-bits issue. Run with
 //! `--nocapture` to print the observed digests.
 
@@ -21,10 +20,10 @@ const TASKS: [TaskType; 4] = [
     TaskType::RelevancePrediction,
 ];
 
-/// Expected digests for (whole batches, 16-instruction shards) with the
-/// default kernels and with the `fast-math` tier.
-const DEFAULT_PINS: [u64; 2] = [0xdd4f6b23b4be3f86, 0xa2ae8e91271d2ac0];
-const FAST_MATH_PINS: [u64; 2] = [0xa1d92a62dfb8a824, 0xee859770cbc43045];
+/// Expected whole-batch digest with the default kernels and with the
+/// `fast-math` tier.
+const DEFAULT_PIN: u64 = 0xdd4f6b23b4be3f86;
+const FAST_MATH_PIN: u64 = 0xa1d92a62dfb8a824;
 
 /// Generation instructions over three tails plus every prediction task.
 fn instructions() -> Vec<Instruction> {
@@ -75,11 +74,10 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 }
 
 /// Train on [`instructions`] and digest the trained model's outputs.
-fn trained_digest(microbatch: usize) -> u64 {
+fn trained_digest() -> u64 {
     let mut lm = CosmoLm::new(
         StudentConfig {
             epochs: 2,
-            microbatch,
             ..Default::default()
         },
         vec![
@@ -123,14 +121,12 @@ fn fast_math_kernels() -> bool {
 
 #[test]
 fn trained_student_outputs_match_pins() {
-    let got = [trained_digest(0), trained_digest(16)];
-    for (have, name) in got.iter().zip(["whole_batch", "sharded"]) {
-        eprintln!("student pin {name}: observed {have:#018x}");
-    }
+    let got = trained_digest();
+    eprintln!("student pin whole_batch: observed {got:#018x}");
     let want = if fast_math_kernels() {
-        FAST_MATH_PINS
+        FAST_MATH_PIN
     } else {
-        DEFAULT_PINS
+        DEFAULT_PIN
     };
     assert_eq!(
         got, want,
