@@ -939,10 +939,10 @@ fn synthetic_critic_examples(n: usize, buckets: usize) -> Vec<cosmo_core::Critic
 /// cosmo-nn compute-engine scaling: matmul GFLOP/s (seed reference loop vs
 /// blocked kernel vs 4-thread row-partitioned kernel, plus the FMA
 /// reduction-tree tier when the `fast-math` feature is compiled in) across
-/// shapes, batched student inference against the per-item path, and
-/// per-epoch critic-training wall clock at 1/2/4 worker threads with a
-/// byte-identity assertion across thread counts. Writes `BENCH_nn.json`
-/// at the repo root and returns the human-readable summary.
+/// shapes, batched student inference against the per-item path, and the
+/// per-epoch wall clock of critic training on the single-tape gradient
+/// step. Writes `BENCH_nn.json` at the repo root and returns the
+/// human-readable summary.
 pub fn nn_scaling(ctx: &Ctx) -> String {
     let fast_math = cfg!(feature = "fast-math");
     let mut out = String::new();
@@ -1066,69 +1066,31 @@ pub fn nn_scaling(ctx: &Ctx) -> String {
     }
     json.push_str("  ],\n  \"training\": [\n");
 
-    // sized so each batch carries 8 microbatch shards of real gradient
-    // work: at the old 256-example/dim-32 load the per-shard compute was
-    // smaller than the fan-out overhead and 4 threads bought only ~1.04x
+    // one critic epoch on the single-tape step: each 256-example batch is
+    // recorded, backpropagated and stepped on one reused tape
     let examples = synthetic_critic_examples(8192, 1 << 13);
     let epochs = 2usize;
     let cores = cosmo_exec::WorkerPool::available_parallelism();
+    let mut critic = cosmo_core::Critic::new(cosmo_core::CriticConfig {
+        buckets: 1 << 13,
+        dim: 64,
+        epochs,
+        batch: 256,
+        ..Default::default()
+    });
+    let t0 = std::time::Instant::now();
+    critic.train(&examples);
+    let epoch_secs = t0.elapsed().as_secs_f64() / epochs as f64;
     let _ = writeln!(
         out,
-        "\n{:<8} {:>14} {:>9}  (critic, {} examples, dim 64, batch 256, \
-         microbatch 32; {} cores available)",
-        "threads",
-        "epoch (ms)",
-        "speedup",
-        examples.len(),
-        cores
+        "\ncritic epoch: {:.2} ms  ({} examples, dim 64, batch 256, one tape)",
+        epoch_secs * 1e3,
+        examples.len()
     );
-    let mut base: Option<(f64, cosmo_core::CriticReport)> = None;
-    let threads_sweep = [1usize, 2, 4];
-    for (i, &threads) in threads_sweep.iter().enumerate() {
-        let cfg = cosmo_core::CriticConfig {
-            buckets: 1 << 13,
-            dim: 64,
-            epochs,
-            batch: 256,
-            threads,
-            microbatch: 32,
-            ..Default::default()
-        };
-        let mut critic = cosmo_core::Critic::new(cfg);
-        let t0 = std::time::Instant::now();
-        let report = critic.train(&examples);
-        let epoch_secs = t0.elapsed().as_secs_f64() / epochs as f64;
-        let speedup = match &base {
-            Some((base_secs, base_report)) => {
-                assert_eq!(
-                    base_report, &report,
-                    "critic training diverged at {threads} threads"
-                );
-                base_secs / epoch_secs
-            }
-            None => {
-                base = Some((epoch_secs, report.clone()));
-                1.0
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{:<8} {:>14.2} {:>8.2}x",
-            threads,
-            epoch_secs * 1e3,
-            speedup
-        );
-        let _ = write!(
-            json,
-            "    {{\"threads\": {threads}, \"epoch_secs\": {epoch_secs:.6}, \
-             \"speedup\": {speedup:.3}}}{}",
-            if i + 1 < threads_sweep.len() {
-                ",\n"
-            } else {
-                "\n"
-            }
-        );
-    }
+    let _ = writeln!(
+        json,
+        "    {{\"batch\": 256, \"epoch_secs\": {epoch_secs:.6}}}"
+    );
     let fma_field = if fast_math {
         format!("  \"fma_speedup_256\": {fma_speedup_256:.3},\n")
     } else {
@@ -1141,24 +1103,14 @@ pub fn nn_scaling(ctx: &Ctx) -> String {
          \"fast_math\": {fast_math},\n\
          {fma_field}  \
          \"blocked_speedup_256\": {blocked_speedup_256:.3},\n  \
-         \"predict_batch_speedup_256\": {predict_batch_speedup_256:.3},\n  \
-         \"identical_across_threads\": true\n}}\n",
+         \"predict_batch_speedup_256\": {predict_batch_speedup_256:.3}\n}}\n",
         examples.len()
     );
     let _ = writeln!(out, "\n{}", write_bench_json("BENCH_nn.json", &json, false));
     let _ = writeln!(
         out,
-        "Every kernel and every thread count produced identical bytes:\n\
-         blocked/threaded matmuls keep the per-row accumulation order of\n\
-         the seed loop, and trainer shards merge in fixed index order."
+        "Every kernel produced identical bytes: blocked/threaded matmuls\n\
+         keep the per-row accumulation order of the seed loop."
     );
-    if cores < 2 {
-        let _ = writeln!(
-            out,
-            "note: only {cores} core(s) visible to this run — thread-count\n\
-             speedups cannot materialise here; the sweep still proves the\n\
-             sharded trainer is bit-identical at every thread count."
-        );
-    }
     out
 }

@@ -16,8 +16,7 @@
 use cosmo_nn::infer::{self, ScratchPool};
 use cosmo_nn::layers::{Embedding, Linear};
 use cosmo_nn::opt::Adam;
-use cosmo_nn::train::{shard_ranges, ShardRunner};
-use cosmo_nn::ParamStore;
+use cosmo_nn::{ParamStore, Tape};
 use cosmo_synth::World;
 use cosmo_teacher::{BehaviorRef, Candidate};
 use cosmo_text::hash::hash_str_ns;
@@ -53,20 +52,6 @@ pub struct CriticConfig {
     pub batch: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Worker threads for sharded gradient steps (`0` = all cores,
-    /// `1` = inline). Thread count never changes the result — see
-    /// `cosmo_nn::train`.
-    #[serde(default = "default_threads")]
-    pub threads: usize,
-    /// Shard size for data-parallel gradient steps. `0` keeps each batch
-    /// on a single tape — the exact whole-batch formulation; any other
-    /// value fixes the shard structure independently of `threads`.
-    #[serde(default)]
-    pub microbatch: usize,
-}
-
-fn default_threads() -> usize {
-    1
 }
 
 impl Default for CriticConfig {
@@ -78,8 +63,6 @@ impl Default for CriticConfig {
             epochs: 14,
             batch: 64,
             lr: 0.01,
-            threads: 1,
-            microbatch: 0,
         }
     }
 }
@@ -201,7 +184,7 @@ impl Critic {
         let (train_idx, test_idx) = order.split_at(split.max(1).min(examples.len()));
 
         let mut opt = Adam::new(self.cfg.lr);
-        let mut runner = ShardRunner::new(self.cfg.threads);
+        let mut tape = Tape::new();
         let mut report = CriticReport::default();
         for e in examples {
             report.n_plausible += usize::from(e.plausible.is_some());
@@ -215,7 +198,7 @@ impl Critic {
             let mut steps = 0;
             for chunk in idx.chunks(self.cfg.batch) {
                 let batch: Vec<&CriticExample> = chunk.iter().map(|&i| &examples[i]).collect();
-                let loss = self.train_step(&batch, &mut opt, &mut runner);
+                let loss = self.train_step(&batch, &mut opt, &mut tape);
                 epoch_loss += loss;
                 steps += 1;
             }
@@ -247,18 +230,8 @@ impl Critic {
         report
     }
 
-    /// One sharded gradient step. Each shard records the same graph the
-    /// whole-batch formulation would, scaled by `shard_len / batch_len` so
-    /// shard losses (and gradients) sum to the batch mean; with one shard
-    /// the scale is `1.0` and the step is the exact legacy computation.
-    fn train_step(
-        &mut self,
-        batch: &[&CriticExample],
-        opt: &mut Adam,
-        runner: &mut ShardRunner,
-    ) -> f32 {
-        let shards = shard_ranges(batch.len(), self.cfg.microbatch);
-        let batch_len = batch.len();
+    /// One gradient step over the whole batch; returns its loss.
+    fn train_step(&mut self, batch: &[&CriticExample], opt: &mut Adam, tape: &mut Tape) -> f32 {
         let Critic {
             store,
             emb,
@@ -266,27 +239,25 @@ impl Critic {
             head_typical,
             ..
         } = self;
-        let losses = runner.grad_step(store, shards.len(), |tape, s, shard_i| {
-            let range = shards[shard_i].clone();
-            let shard = &batch[range.start..range.end];
+        let loss = tape.grad_step(store, |tape, s| {
             // build one flat gather with segment ids
             let mut ids = Vec::new();
             let mut segments = Vec::new();
-            for (seg, e) in shard.iter().enumerate() {
+            for (seg, e) in batch.iter().enumerate() {
                 for &f in &e.features {
                     ids.push(f);
                     segments.push(seg);
                 }
             }
             let rows = emb.forward(tape, s, &ids);
-            let pooled = tape.segment_mean(rows, &segments, shard.len());
+            let pooled = tape.segment_mean(rows, &segments, batch.len());
             let logit_p = head_plausible.forward(tape, s, pooled);
             let logit_t = head_typical.forward(tape, s, pooled);
 
             // mask missing labels by zero-weighting: build target vectors
             // with the predicted value substituted (gradient = 0)
             let vp = tape.value(logit_p);
-            let targets_p: Vec<f32> = shard
+            let targets_p: Vec<f32> = batch
                 .iter()
                 .enumerate()
                 .map(|(i, e)| match e.plausible {
@@ -295,7 +266,7 @@ impl Critic {
                 })
                 .collect();
             let vt = tape.value(logit_t);
-            let targets_t: Vec<f32> = shard
+            let targets_t: Vec<f32> = batch
                 .iter()
                 .enumerate()
                 .map(|(i, e)| match e.typical {
@@ -305,11 +276,10 @@ impl Critic {
                 .collect();
             let loss_p = tape.bce_with_logits(logit_p, &targets_p);
             let loss_t = tape.bce_with_logits(logit_t, &targets_t);
-            let loss = tape.add(loss_p, loss_t);
-            tape.scale(loss, range.len() as f32 / batch_len as f32)
+            tape.add(loss_p, loss_t)
         });
         opt.step(store);
-        losses.iter().sum()
+        loss
     }
 
     /// Score features → `(plausibility, typicality)` probabilities.
@@ -509,7 +479,6 @@ mod tests {
     /// and repeated calls on recycled scratch buffers.
     #[test]
     fn direct_scoring_is_bitwise_identical_to_tape_formulation() {
-        use cosmo_nn::Tape;
         let mut critic = Critic::new(CriticConfig {
             epochs: 2,
             ..Default::default()
@@ -566,34 +535,5 @@ mod tests {
                 "batched feats {feats:?}"
             );
         }
-    }
-
-    /// Data-parallel training must be a pure function of the data and the
-    /// shard structure: with sharding engaged (`microbatch`), `threads = 1`
-    /// and `threads = 4` must produce byte-identical reports and scores.
-    #[test]
-    fn critic_training_is_thread_count_invariant() {
-        let examples: Vec<CriticExample> = (0..200)
-            .map(|i| CriticExample {
-                features: vec![i % 97, (i * 31) % 4096 + 100, 7 + (i % 2) * 6],
-                plausible: Some(i % 2 == 0),
-                typical: (i % 5 != 0).then_some(i % 3 == 0),
-            })
-            .collect();
-        let train_with = |threads: usize| {
-            let mut critic = Critic::new(CriticConfig {
-                epochs: 2,
-                microbatch: 16,
-                threads,
-                ..Default::default()
-            });
-            let report = critic.train(&examples);
-            let probe = critic.score(&[7, 13, 150]);
-            (report, probe)
-        };
-        let (r1, p1) = train_with(1);
-        let (r4, p4) = train_with(4);
-        assert_eq!(r1, r4, "critic reports diverged across thread counts");
-        assert_eq!(p1, p4, "critic scores diverged across thread counts");
     }
 }

@@ -24,7 +24,6 @@ use cosmo_kg::Relation;
 use cosmo_nn::infer::{self, InferScratch, ScratchPool, TapePool};
 use cosmo_nn::layers::{Embedding, Linear};
 use cosmo_nn::opt::Adam;
-use cosmo_nn::train::{shard_ranges, ShardRunner};
 use cosmo_nn::{ParamStore, Tape};
 use cosmo_text::hash::hash_str_ns;
 use cosmo_text::{tokenize, FxHashMap};
@@ -51,18 +50,6 @@ pub struct StudentConfig {
     pub batch: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Worker threads for sharded gradient steps (`0` = all cores,
-    /// `1` = inline). Never changes the result — see `cosmo_nn::train`.
-    #[serde(default = "default_threads")]
-    pub threads: usize,
-    /// Shard size for data-parallel gradient steps; `0` keeps each batch
-    /// on a single tape (the exact whole-batch formulation).
-    #[serde(default)]
-    pub microbatch: usize,
-}
-
-fn default_threads() -> usize {
-    1
 }
 
 impl Default for StudentConfig {
@@ -74,8 +61,6 @@ impl Default for StudentConfig {
             epochs: 12,
             batch: 64,
             lr: 0.01,
-            threads: 1,
-            microbatch: 0,
         }
     }
 }
@@ -207,7 +192,7 @@ impl CosmoLm {
         }
 
         let mut opt = Adam::new(self.cfg.lr);
-        let mut runner = ShardRunner::new(self.cfg.threads);
+        let mut tape = Tape::new();
         for _epoch in 0..self.cfg.epochs {
             train_set.shuffle(&mut rng);
             let mut gen_loss = 0.0f32;
@@ -220,7 +205,7 @@ impl CosmoLm {
                     .filter(|i| i.task == TaskType::Generate)
                     .collect();
                 if !gens.is_empty() {
-                    gen_loss += self.gen_step(&gens, &mut opt, &mut runner);
+                    gen_loss += self.gen_step(&gens, &mut opt, &mut tape);
                     gen_steps += 1;
                 }
                 for slot in 0..4 {
@@ -230,7 +215,7 @@ impl CosmoLm {
                         .filter(|i| head_slot(i.task) == Some(slot) && i.label.is_some())
                         .collect();
                     if !preds.is_empty() {
-                        self.predict_step(slot, &preds, &mut opt, &mut runner);
+                        self.predict_step(slot, &preds, &mut opt, &mut tape);
                     }
                 }
             }
@@ -280,17 +265,8 @@ impl CosmoLm {
         encode_inputs(tape, &self.store, &self.enc, self.cfg.buckets, inputs)
     }
 
-    /// Sharded generation step; shard losses are scaled by
-    /// `shard_len / batch_len` so they sum to the batch mean (one shard —
-    /// the default — is the exact whole-batch computation).
-    fn gen_step(
-        &mut self,
-        batch: &[&Instruction],
-        opt: &mut Adam,
-        runner: &mut ShardRunner,
-    ) -> f32 {
-        let shards = shard_ranges(batch.len(), self.cfg.microbatch);
-        let batch_len = batch.len();
+    /// One generation step over the whole batch; returns its mean loss.
+    fn gen_step(&mut self, batch: &[&Instruction], opt: &mut Adam, tape: &mut Tape) -> f32 {
         let buckets = self.cfg.buckets;
         let CosmoLm {
             store,
@@ -299,22 +275,19 @@ impl CosmoLm {
             tail_index,
             ..
         } = self;
-        let losses = runner.grad_step(store, shards.len(), |tape, s, shard_i| {
-            let range = shards[shard_i].clone();
-            let shard = &batch[range.start..range.end];
-            let inputs: Vec<&str> = shard.iter().map(|i| i.input.as_str()).collect();
-            let targets: Vec<usize> = shard
+        let loss = tape.grad_step(store, |tape, s| {
+            let inputs: Vec<&str> = batch.iter().map(|i| i.input.as_str()).collect();
+            let targets: Vec<usize> = batch
                 .iter()
                 .map(|i| tail_index[i.tail.as_ref().unwrap()])
                 .collect();
             let e = encode_inputs(tape, s, enc, buckets, &inputs);
             let tails = tail_emb.table(tape, s);
             let logits = tape.matmul_nt(e, tails);
-            let loss = tape.cross_entropy(logits, &targets);
-            tape.scale(loss, range.len() as f32 / batch_len as f32)
+            tape.cross_entropy(logits, &targets)
         });
         opt.step(store);
-        losses.iter().sum()
+        loss
     }
 
     fn predict_step(
@@ -322,24 +295,19 @@ impl CosmoLm {
         slot: usize,
         batch: &[&Instruction],
         opt: &mut Adam,
-        runner: &mut ShardRunner,
+        tape: &mut Tape,
     ) {
-        let shards = shard_ranges(batch.len(), self.cfg.microbatch);
-        let batch_len = batch.len();
         let buckets = self.cfg.buckets;
         let CosmoLm {
             store, enc, heads, ..
         } = self;
         let head = &heads[slot];
-        runner.grad_step(store, shards.len(), |tape, s, shard_i| {
-            let range = shards[shard_i].clone();
-            let shard = &batch[range.start..range.end];
-            let inputs: Vec<&str> = shard.iter().map(|i| i.input.as_str()).collect();
-            let labels: Vec<f32> = shard.iter().map(|i| f32::from(i.label.unwrap())).collect();
+        tape.grad_step(store, |tape, s| {
+            let inputs: Vec<&str> = batch.iter().map(|i| i.input.as_str()).collect();
+            let labels: Vec<f32> = batch.iter().map(|i| f32::from(i.label.unwrap())).collect();
             let e = encode_inputs(tape, s, enc, buckets, &inputs);
             let logits = head.forward(tape, s, e);
-            let loss = tape.bce_with_logits(logits, &labels);
-            tape.scale(loss, range.len() as f32 / batch_len as f32)
+            tape.bce_with_logits(logits, &labels)
         });
         opt.step(store);
     }
@@ -571,8 +539,8 @@ impl CosmoLm {
     }
 }
 
-/// Hash an input text into encoder features (free function so sharded
-/// training closures can use it while the store is mutably borrowed).
+/// Hash an input text into encoder features (free function so training
+/// closures can use it while the store is mutably borrowed).
 fn hash_features(buckets: usize, input: &str) -> Vec<usize> {
     let toks = tokenize(input);
     let mut out = Vec::with_capacity(toks.len() * 2);
@@ -860,32 +828,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// With sharding engaged, thread count must not change anything: the
-    /// trained reports and the generation ranking have to be byte-identical
-    /// at `threads = 1` and `threads = 4`.
-    #[test]
-    fn student_training_is_thread_count_invariant() {
-        let train_with = |threads: usize| {
-            let mut lm = CosmoLm::new(
-                StudentConfig {
-                    epochs: 2,
-                    microbatch: 16,
-                    threads,
-                    ..Default::default()
-                },
-                tails(),
-            );
-            let report = lm.train(&toy_instructions());
-            let gen = lm.generate("user searched camping item fresh", None, 3);
-            let pred = lm.predict(TaskType::Plausibility, "is it plausible");
-            (report, gen, pred)
-        };
-        let (r1, g1, p1) = train_with(1);
-        let (r4, g4, p4) = train_with(4);
-        assert_eq!(r1, r4, "student reports diverged across thread counts");
-        assert_eq!(g1, g4, "generation diverged across thread counts");
-        assert_eq!(p1, p4, "prediction diverged across thread counts");
     }
 }

@@ -23,14 +23,13 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mlp = Mlp::new(&mut store, "clf", 2, 8, 2, &mut rng);
 //! let mut opt = Adam::new(0.05);
+//! let mut tape = Tape::new();
 //! for _ in 0..50 {
-//!     let mut tape = Tape::new();
-//!     let x = tape.input(Tensor::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]));
-//!     let logits = mlp.forward(&mut tape, &store, x);
-//!     let loss = tape.cross_entropy(logits, &[1, 0]);
-//!     tape.backward(loss);
-//!     store.zero_grads();
-//!     tape.accumulate_param_grads(&mut store);
+//!     tape.grad_step(&mut store, |tape, s| {
+//!         let x = tape.input(Tensor::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]));
+//!         let logits = mlp.forward(tape, s, x);
+//!         tape.cross_entropy(logits, &[1, 0])
+//!     });
 //!     opt.step(&mut store);
 //! }
 //! ```
@@ -42,9 +41,7 @@ pub mod opt;
 pub mod params;
 pub mod tape;
 pub mod tensor;
-pub mod train;
 
 pub use params::{ParamId, ParamStore};
 pub use tape::{Tape, Var};
 pub use tensor::Tensor;
-pub use train::ShardRunner;

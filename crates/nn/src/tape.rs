@@ -6,7 +6,9 @@
 //! as leaves tagged with their [`ParamId`]: a whole-tensor copy
 //! ([`Tape::param`]) or just the rows a lookup needs ([`Tape::gather`]).
 //! After backward, [`Tape::accumulate_param_grads`] adds leaf gradients
-//! into the [`ParamStore`] so an optimizer can step.
+//! into the [`ParamStore`] so an optimizer can step. [`Tape::grad_step`]
+//! runs that whole sequence on a reused tape; every trainer in the
+//! workspace takes its gradient steps through it.
 //!
 //! The op set is exactly what the COSMO models need: affine maps, GRU gates,
 //! attention (softmax + matmul), GNN message passing (matmul with a constant
@@ -814,6 +816,23 @@ impl Tape {
         }
     }
 
+    /// One gradient step on this (reused) tape: reset it, record the
+    /// forward pass with `build`, backpropagate from the scalar loss it
+    /// returns, then replace the store's gradients with this tape's.
+    /// Returns the loss value; the caller runs the optimizer.
+    pub fn grad_step(
+        &mut self,
+        store: &mut ParamStore,
+        build: impl FnOnce(&mut Tape, &ParamStore) -> Var,
+    ) -> f32 {
+        self.reset();
+        let loss = build(self, store);
+        self.backward(loss);
+        store.zero_grads();
+        self.accumulate_param_grads(store);
+        self.value(loss).item()
+    }
+
     /// Add the gradients of all parameter leaves into the store's gradient
     /// buffers (call after [`Tape::backward`]), in node order. All gathers
     /// from one table are added together at the first of them.
@@ -1429,6 +1448,65 @@ mod tests {
                 after_first,
                 "pool should neither grow nor shrink across identical steps"
             );
+        }
+    }
+
+    fn toy_store() -> (ParamStore, ParamId) {
+        let mut store = ParamStore::new();
+        let w = store.add(
+            "w",
+            Tensor::from_vec(4, 2, (0..8).map(|i| 0.1 * i as f32 - 0.3).collect()),
+        );
+        (store, w)
+    }
+
+    /// Mean squared output of a fixed toy regression batch.
+    fn toy_loss(tape: &mut Tape, store: &ParamStore, w: ParamId) -> Var {
+        let xs: Vec<f32> = (0..8 * 4)
+            .map(|i| ((i * 13) % 7) as f32 * 0.25 - 0.75)
+            .collect();
+        let x = tape.input(Tensor::from_vec(8, 4, xs));
+        let wv = tape.param(store, w);
+        let y = tape.matmul(x, wv);
+        let sq = tape.mul(y, y);
+        tape.mean_all(sq)
+    }
+
+    /// `grad_step` is the plain backward / zero / accumulate sequence on a
+    /// fresh tape, bit for bit.
+    #[test]
+    fn grad_step_matches_plain_tape_bitwise() {
+        let (mut store, w) = toy_store();
+        let mut tape = Tape::new();
+        let loss = toy_loss(&mut tape, &store, w);
+        tape.backward(loss);
+        store.zero_grads();
+        tape.accumulate_param_grads(&mut store);
+        let expect_loss = tape.value(loss).item();
+        let expect_grad = store.grad(w).clone();
+
+        let (mut store2, w2) = toy_store();
+        let got = Tape::new().grad_step(&mut store2, |tape, s| toy_loss(tape, s, w2));
+        assert_eq!(got.to_bits(), expect_loss.to_bits());
+        assert_eq!(store2.grad(w2).data(), expect_grad.data());
+    }
+
+    /// The tape is reused across steps; results must not drift, and each
+    /// step replaces the store's gradients instead of adding to them.
+    #[test]
+    fn grad_step_reuses_the_tape_without_drift() {
+        let (mut store, w) = toy_store();
+        let mut tape = Tape::new();
+        let first = tape.grad_step(&mut store, |tape, s| toy_loss(tape, s, w));
+        let first_grad = store.grad(w).clone();
+        for step in 0..3 {
+            let again = tape.grad_step(&mut store, |tape, s| toy_loss(tape, s, w));
+            assert_eq!(
+                again.to_bits(),
+                first.to_bits(),
+                "loss drifted at step {step}"
+            );
+            assert_eq!(store.grad(w).data(), first_grad.data());
         }
     }
 }

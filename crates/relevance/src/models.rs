@@ -17,7 +17,6 @@ use crate::dataset::{EsciDataset, EsciExample, EsciLabel};
 use crate::metrics::Confusion;
 use cosmo_nn::layers::{Embedding, Mlp};
 use cosmo_nn::opt::Adam;
-use cosmo_nn::train::{shard_ranges, ShardRunner};
 use cosmo_nn::{ParamStore, Tape};
 use cosmo_text::hash::hash_str_ns;
 use cosmo_text::tokenize;
@@ -77,18 +76,6 @@ pub struct RelevanceConfig {
     pub lr: f32,
     /// Train the encoder embedding (false = fixed-encoder regime).
     pub trainable_encoder: bool,
-    /// Worker threads for sharded gradient steps (`0` = all cores,
-    /// `1` = inline). Never changes the result — see `cosmo_nn::train`.
-    #[serde(default = "default_threads")]
-    pub threads: usize,
-    /// Shard size for data-parallel gradient steps; `0` keeps each batch
-    /// on a single tape (the exact whole-batch formulation).
-    #[serde(default)]
-    pub microbatch: usize,
-}
-
-fn default_threads() -> usize {
-    1
 }
 
 impl Default for RelevanceConfig {
@@ -102,8 +89,6 @@ impl Default for RelevanceConfig {
             batch: 64,
             lr: 0.01,
             trainable_encoder: true,
-            threads: 1,
-            microbatch: 0,
         }
     }
 }
@@ -179,23 +164,18 @@ impl RelevanceModel {
     pub fn train(&mut self, dataset: &EsciDataset) {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x7141);
         let mut opt = Adam::new(self.cfg.lr);
-        let mut runner = ShardRunner::new(self.cfg.threads);
+        let mut tape = Tape::new();
         let mut order: Vec<usize> = (0..dataset.train.len()).collect();
-        let (arch, buckets, microbatch) = (self.arch, self.cfg.buckets, self.cfg.microbatch);
+        let (arch, buckets) = (self.arch, self.cfg.buckets);
         for _ in 0..self.cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(self.cfg.batch) {
                 let batch: Vec<&EsciExample> = chunk.iter().map(|&i| &dataset.train[i]).collect();
-                let shards = shard_ranges(batch.len(), microbatch);
-                let batch_len = batch.len();
                 let (emb, head) = (&self.emb, &self.head);
-                runner.grad_step(&mut self.store, shards.len(), |tape, s, shard_i| {
-                    let range = shards[shard_i].clone();
-                    let shard = &batch[range.start..range.end];
-                    let targets: Vec<usize> = shard.iter().map(|e| e.label.index()).collect();
-                    let logits = forward_examples(tape, s, emb, head, arch, buckets, shard);
-                    let loss = tape.cross_entropy(logits, &targets);
-                    tape.scale(loss, range.len() as f32 / batch_len as f32)
+                tape.grad_step(&mut self.store, |tape, s| {
+                    let targets: Vec<usize> = batch.iter().map(|e| e.label.index()).collect();
+                    let logits = forward_examples(tape, s, emb, head, arch, buckets, &batch);
+                    tape.cross_entropy(logits, &targets)
                 });
                 opt.step(&mut self.store);
             }
@@ -454,29 +434,5 @@ mod tests {
         let model = RelevanceModel::new(Architecture::BiEncoder, quick_cfg(true));
         let refs: Vec<&EsciExample> = ds.test.iter().collect();
         assert_eq!(model.predict(&refs).len(), ds.test.len());
-    }
-
-    /// Sharded training must be byte-identical at `threads = 1` and
-    /// `threads = 4` (same shard structure, fixed merge order).
-    #[test]
-    fn relevance_training_is_thread_count_invariant() {
-        let ds = dataset();
-        let run = |threads: usize| {
-            run_architecture(
-                ds,
-                Architecture::CrossEncoderWithIntent,
-                RelevanceConfig {
-                    epochs: 2,
-                    microbatch: 16,
-                    threads,
-                    ..Default::default()
-                },
-            )
-        };
-        assert_eq!(
-            run(1),
-            run(4),
-            "relevance results diverged across thread counts"
-        );
     }
 }

@@ -1,17 +1,13 @@
 //! Graph models: SR-GNN, GC-SAN, GCE-GNN and COSMO-GNN (§4.2.2–§4.2.3).
 //!
-//! The shared fit loop ([`gnn_fit_loop!`]) trains through
-//! [`ShardRunner`]: the default `batch_instances = 0` replays the original
-//! one-step-per-instance schedule bitwise, while `batch_instances = k`
-//! groups `k` prefix instances per optimizer step (one shard each, merged
-//! in instance order) so the `threads` knob scales throughput without
-//! changing any result.
+//! The shared fit loop ([`gnn_fit_loop!`]) owns one reused [`Tape`] and
+//! takes one [`Tape::grad_step`] plus one optimizer step per prefix
+//! instance.
 
 use super::{global_cooccurrence, prefix_instances, rng_for, SessionModel, TrainConfig};
 use crate::dataset::SessionDataset;
 use cosmo_nn::layers::{attention_pool, Embedding, Linear, Mlp};
 use cosmo_nn::opt::Adam;
-use cosmo_nn::train::ShardRunner;
 use cosmo_nn::{ParamStore, Tape, Tensor, Var};
 use cosmo_text::FxHashMap;
 
@@ -151,25 +147,21 @@ fn global_matrix(global_nbrs: &[Vec<(usize, f32)>], nodes: &[usize], v: usize) -
 macro_rules! gnn_fit_loop {
     ($self:ident, $ds:ident, $cfg:ident, $rng:ident, $core:ident, $rep_fn:expr) => {{
         let mut opt = Adam::new($cfg.lr);
-        let mut runner = ShardRunner::new($cfg.threads);
-        let group = $cfg.batch_instances.max(1);
+        let mut tape = Tape::new();
         for _ in 0..$cfg.epochs {
             let instances = prefix_instances($ds, $cfg, &mut $rng);
-            for batch in instances.chunks(group) {
-                let batch_len = batch.len();
-                runner.grad_step(&mut $self.store, batch_len, |tape, st, i| {
-                    let (si, len) = batch[i];
-                    let s = &$ds.train[si];
-                    let prefix = &s.items[..len - 1];
-                    let queries = &s.queries[..len];
-                    let target = s.items[len - 1];
+            for &(si, len) in &instances {
+                let s = &$ds.train[si];
+                let prefix = &s.items[..len - 1];
+                let queries = &s.queries[..len];
+                let target = s.items[len - 1];
+                tape.grad_step(&mut $self.store, |tape, st| {
                     // $rep_fn is a macro argument, not a literal closure
                     #[allow(clippy::redundant_closure_call)]
                     let rep: Var = ($rep_fn)(tape, st, $ds, prefix, queries);
                     let table = $core.emb.table(tape, st);
                     let logits = tape.matmul_nt(rep, table);
-                    let loss = tape.cross_entropy(logits, &[target]);
-                    tape.scale(loss, 1.0 / batch_len as f32)
+                    tape.cross_entropy(logits, &[target])
                 });
                 opt.step(&mut $self.store);
             }

@@ -34,23 +34,6 @@ pub struct TrainConfig {
     pub prefixes_per_session: usize,
     /// Cap on training sessions per epoch (0 = all).
     pub max_sessions: usize,
-    /// Worker threads for gradient steps (0 = all cores). Only sizes the
-    /// pool: shard structure never depends on it, so any thread count
-    /// produces byte-identical models.
-    #[serde(default = "default_threads")]
-    pub threads: usize,
-    /// Gradient grouping knob. `0` keeps each model's original schedule
-    /// bitwise (one optimizer step per prefix instance / session; FPMC's
-    /// whole-chunk tape). A value `k > 0` groups `k` instances per
-    /// optimizer step — one shard each, merged in instance order — and
-    /// shards FPMC's chunk into groups of `k` transition pairs. The
-    /// grouping depends only on the data and `k`, never on `threads`.
-    #[serde(default)]
-    pub batch_instances: usize,
-}
-
-fn default_threads() -> usize {
-    1
 }
 
 impl Default for TrainConfig {
@@ -62,8 +45,6 @@ impl Default for TrainConfig {
             lr: 0.005,
             prefixes_per_session: 0,
             max_sessions: 0,
-            threads: 1,
-            batch_instances: 0,
         }
     }
 }
@@ -220,61 +201,6 @@ mod tests {
                 let sum: f32 = nbrs.iter().map(|(_, w)| w).sum();
                 assert!(sum <= 1.0001);
             }
-        }
-    }
-
-    /// Train a model with the given thread count and return its report
-    /// plus raw scores for one probe prefix.
-    fn fit_and_probe(
-        model: &mut dyn SessionModel,
-        ds: &SessionDataset,
-        threads: usize,
-    ) -> (ModelScores, Vec<f32>) {
-        let cfg = TrainConfig {
-            dim: 8,
-            epochs: 1,
-            prefixes_per_session: 1,
-            max_sessions: 12,
-            threads,
-            batch_instances: 3,
-            ..Default::default()
-        };
-        model.fit(ds, &cfg);
-        let probe = ds
-            .test
-            .iter()
-            .find(|s| s.items.len() >= 2)
-            .expect("a scorable test session");
-        let n = probe.items.len();
-        let scores = model.score_prefix(ds, &probe.items[..n - 1], &probe.queries[..n]);
-        (evaluate(model, ds, 10), scores)
-    }
-
-    /// The acceptance criterion: with a fixed `batch_instances` grouping,
-    /// `threads = 1` and `threads = 4` must produce byte-identical models
-    /// (reports and raw logits) for every training style — FPMC's sharded
-    /// chunk tape, GRU4Rec's per-session tape, STAMP's per-instance tape
-    /// and SR-GNN's graph pipeline.
-    #[test]
-    fn training_is_thread_count_invariant() {
-        let ds = ds();
-        let makers: Vec<fn() -> Box<dyn SessionModel>> = vec![
-            || Box::new(super::seq::Fpmc::new()),
-            || Box::new(super::seq::Gru4Rec::new()),
-            || Box::new(super::seq::Stamp::new()),
-            || Box::new(super::gnn::SrGnn::new()),
-        ];
-        for make in makers {
-            let (r1, s1) = {
-                let mut m = make();
-                fit_and_probe(m.as_mut(), &ds, 1)
-            };
-            let (r4, s4) = {
-                let mut m = make();
-                fit_and_probe(m.as_mut(), &ds, 4)
-            };
-            assert_eq!(r1, r4, "report diverged across thread counts");
-            assert_eq!(s1, s4, "probe scores diverged across thread counts");
         }
     }
 

@@ -1,16 +1,13 @@
 //! Sequential baselines: FPMC, GRU4Rec, STAMP, CSRM (§4.2.2).
 //!
-//! Every fit loop runs through [`ShardRunner`], so the `threads` knob in
-//! [`TrainConfig`] parallelises gradient work without changing results:
-//! with the default `batch_instances = 0` each optimizer step replays the
-//! original single-tape schedule bitwise, and any grouping is a function
-//! of the data alone, never of the thread count.
+//! Every fit loop owns one reused [`Tape`] and takes each gradient step
+//! through [`Tape::grad_step`]: FPMC one step per chunk of transition
+//! pairs, GRU4Rec one per session, STAMP and CSRM one per prefix instance.
 
 use super::{prefix_instances, rng_for, SessionModel, TrainConfig};
 use crate::dataset::SessionDataset;
 use cosmo_nn::layers::{attention_pool, Embedding, GruCell, Linear};
 use cosmo_nn::opt::Adam;
-use cosmo_nn::train::{shard_ranges, ShardRunner};
 use cosmo_nn::{ParamId, ParamStore, Tape, Tensor, Var};
 use rand::Rng;
 
@@ -73,7 +70,7 @@ impl SessionModel for Fpmc {
             self.bias.unwrap(),
         );
         let mut opt = Adam::new(cfg.lr);
-        let mut runner = ShardRunner::new(cfg.threads);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let mut order: Vec<usize> = (0..ds.train.len()).collect();
             use rand::seq::SliceRandom;
@@ -94,17 +91,13 @@ impl SessionModel for Fpmc {
                 if lasts.is_empty() {
                     continue;
                 }
-                let shards = shard_ranges(lasts.len(), cfg.batch_instances);
-                let n_pairs = lasts.len();
-                runner.grad_step(&mut self.store, shards.len(), |tape, st, i| {
-                    let r = shards[i].clone();
-                    let l = last_emb.forward(tape, st, &lasts[r.start..r.end]);
+                tape.grad_step(&mut self.store, |tape, st| {
+                    let l = last_emb.forward(tape, st, &lasts);
                     let table = item_emb.table(tape, st);
                     let logits = tape.matmul_nt(l, table);
                     let b = tape.param(st, bias);
                     let logits = tape.add_row(logits, b);
-                    let loss = tape.cross_entropy(logits, &targets[r.start..r.end]);
-                    tape.scale(loss, r.len() as f32 / n_pairs as f32)
+                    tape.cross_entropy(logits, &targets)
                 });
                 opt.step(&mut self.store);
             }
@@ -196,8 +189,7 @@ impl SessionModel for Gru4Rec {
         ));
         let (emb, gru, dim) = (self.emb.unwrap(), self.gru.unwrap(), self.dim);
         let mut opt = Adam::new(cfg.lr);
-        let mut runner = ShardRunner::new(cfg.threads);
-        let group = cfg.batch_instances.max(1);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let mut order: Vec<usize> = (0..ds.train.len()).collect();
             use rand::seq::SliceRandom;
@@ -206,10 +198,9 @@ impl SessionModel for Gru4Rec {
                 order.truncate(cfg.max_sessions);
             }
             order.retain(|&si| ds.train[si].items.len() >= 2);
-            for batch in order.chunks(group) {
-                let batch_len = batch.len();
-                runner.grad_step(&mut self.store, batch_len, |tape, st, i| {
-                    let s = &ds.train[batch[i]];
+            for &si in &order {
+                let s = &ds.train[si];
+                tape.grad_step(&mut self.store, |tape, st| {
                     let hs =
                         gru_hidden_states(emb, gru, dim, tape, st, &s.items[..s.items.len() - 1]);
                     // stack hidden states via repeated concat-free gather trick:
@@ -225,8 +216,7 @@ impl SessionModel for Gru4Rec {
                             None => loss,
                         });
                     }
-                    let loss = tape.scale(total.unwrap(), 1.0 / targets.len() as f32);
-                    tape.scale(loss, 1.0 / batch_len as f32)
+                    tape.scale(total.unwrap(), 1.0 / targets.len() as f32)
                 });
                 opt.step(&mut self.store);
             }
@@ -332,22 +322,18 @@ impl SessionModel for Stamp {
         ));
         let (emb, mlp_a, mlp_b) = (self.emb.unwrap(), self.mlp_a.unwrap(), self.mlp_b.unwrap());
         let mut opt = Adam::new(cfg.lr);
-        let mut runner = ShardRunner::new(cfg.threads);
-        let group = cfg.batch_instances.max(1);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let instances = prefix_instances(ds, cfg, &mut rng);
-            for batch in instances.chunks(group) {
-                let batch_len = batch.len();
-                runner.grad_step(&mut self.store, batch_len, |tape, st, i| {
-                    let (si, len) = batch[i];
-                    let s = &ds.train[si];
-                    let prefix = &s.items[..len - 1];
-                    let target = s.items[len - 1];
+            for &(si, len) in &instances {
+                let s = &ds.train[si];
+                let prefix = &s.items[..len - 1];
+                let target = s.items[len - 1];
+                tape.grad_step(&mut self.store, |tape, st| {
                     let rep = stamp_rep(emb, mlp_a, mlp_b, tape, st, prefix);
                     let table = emb.table(tape, st);
                     let logits = tape.matmul_nt(rep, table);
-                    let loss = tape.cross_entropy(logits, &[target]);
-                    tape.scale(loss, 1.0 / batch_len as f32)
+                    tape.cross_entropy(logits, &[target])
                 });
                 opt.step(&mut self.store);
             }
@@ -465,22 +451,18 @@ impl SessionModel for Csrm {
             self.dim,
         );
         let mut opt = Adam::new(cfg.lr);
-        let mut runner = ShardRunner::new(cfg.threads);
-        let group = cfg.batch_instances.max(1);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
             let instances = prefix_instances(ds, cfg, &mut rng);
-            for batch in instances.chunks(group) {
-                let batch_len = batch.len();
-                runner.grad_step(&mut self.store, batch_len, |tape, st, i| {
-                    let (si, len) = batch[i];
-                    let s = &ds.train[si];
-                    let prefix = &s.items[..len - 1];
-                    let target = s.items[len - 1];
+            for &(si, len) in &instances {
+                let s = &ds.train[si];
+                let prefix = &s.items[..len - 1];
+                let target = s.items[len - 1];
+                tape.grad_step(&mut self.store, |tape, st| {
                     let rep = csrm_rep(emb, gru, memory, fuse, dim, tape, st, prefix);
                     let table = emb.table(tape, st);
                     let logits = tape.matmul_nt(rep, table);
-                    let loss = tape.cross_entropy(logits, &[target]);
-                    tape.scale(loss, 1.0 / batch_len as f32)
+                    tape.cross_entropy(logits, &[target])
                 });
                 opt.step(&mut self.store);
             }

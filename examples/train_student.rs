@@ -3,13 +3,8 @@
 //! *typical* knowledge where the raw LLM mostly doesn't.
 //!
 //! ```text
-//! cargo run --release --example train_student [threads]
+//! cargo run --release --example train_student
 //! ```
-//!
-//! `threads` (default 4) sizes the worker pool for the sharded gradient
-//! steps; the run first trains single-threaded, then again at `threads`,
-//! and prints the measured per-epoch speedup. The two reports are
-//! asserted byte-identical — thread count never changes the math.
 
 use cosmo::core::{run, PipelineConfig};
 use cosmo::lm::{
@@ -30,46 +25,22 @@ fn main() {
         println!("  {:<30} {n}", task.name());
     }
 
-    // Instruction-tune the student: once single-threaded, once on the
-    // requested worker count, with identical math (and bytes) both times.
-    let threads: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let cfg = StudentConfig {
-        epochs: 10,
-        microbatch: 16,
-        ..StudentConfig::default()
-    };
-    let vocab = tail_vocab_from_pipeline(&out);
-
+    // Instruction-tune the student.
+    let epochs = 10;
     let t0 = std::time::Instant::now();
-    let mut baseline = CosmoLm::new(
+    let mut student = CosmoLm::new(
         StudentConfig {
-            threads: 1,
-            ..cfg.clone()
+            epochs,
+            ..StudentConfig::default()
         },
-        vocab.clone(),
+        tail_vocab_from_pipeline(&out),
     );
-    let base_report = baseline.train(&instructions);
-    let secs_1 = t0.elapsed().as_secs_f64();
-
-    let t0 = std::time::Instant::now();
-    let mut student = CosmoLm::new(StudentConfig { threads, ..cfg }, vocab);
     let report = student.train(&instructions);
-    let secs_n = t0.elapsed().as_secs_f64();
-
-    assert_eq!(
-        base_report, report,
-        "thread count changed the training result"
-    );
+    let secs = t0.elapsed().as_secs_f64();
     println!("\n== training ==");
     println!(
-        "per-epoch wall clock: {:.0} ms at 1 thread, {:.0} ms at {threads} \
-         ({:.2}x speedup, byte-identical reports)",
-        secs_1 * 1000.0 / 10.0,
-        secs_n * 1000.0 / 10.0,
-        secs_1 / secs_n
+        "per-epoch wall clock: {:.0} ms",
+        secs * 1000.0 / epochs as f64
     );
     println!("generation instances: {}", report.n_generate);
     println!("prediction instances: {}", report.n_predict);
