@@ -21,10 +21,9 @@ use cosmo_teacher::BehaviorRef;
 use cosmo_text::{segment, FxHashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One answer to an annotation question.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ans {
     /// Yes.
     Yes,
@@ -54,7 +53,7 @@ impl Ans {
 }
 
 /// The five annotation questions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Answers {
     /// Q1: is the explanation a complete sentence?
     pub complete: Ans,
@@ -82,7 +81,7 @@ pub struct Annotation {
 }
 
 /// Annotation process parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnotationConfig {
     /// RNG seed.
     pub seed: u64,

@@ -24,7 +24,6 @@ use cosmo_text::tokenize;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Feature namespaces.
 const NS_TAIL_UNI: u32 = 11;
@@ -38,7 +37,7 @@ const NS_DOMAIN_TAIL: u32 = 18;
 const NS_REL_TAIL: u32 = 19;
 
 /// Critic hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CriticConfig {
     /// RNG seed.
     pub seed: u64,
@@ -140,7 +139,7 @@ pub struct Critic {
 }
 
 /// Training metrics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CriticReport {
     /// Examples with a plausibility label.
     pub n_plausible: usize,

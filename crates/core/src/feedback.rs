@@ -16,10 +16,9 @@ use cosmo_kg::{BehaviorKind, Edge, NodeKind};
 use cosmo_synth::{ProductId, QueryId};
 use cosmo_teacher::{BehaviorRef, Teacher, TeacherConfig};
 use cosmo_text::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Counters from one incremental refresh.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IncrementalUpdate {
     /// Feedback events that resolved to known (query, product) pairs.
     pub resolved_pairs: usize,

@@ -21,10 +21,9 @@ use cosmo_synth::World;
 use cosmo_teacher::{parse_candidate, BehaviorRef, Candidate, Parsed};
 use cosmo_text::distance::edit_distance_bounded;
 use cosmo_text::{segment, FxHashMap, HashedEmbedder, NgramLm, Vocab};
-use serde::{Deserialize, Serialize};
 
 /// Why a candidate was dropped (or kept).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FilterDecision {
     /// Survived all filters.
     Keep,
@@ -48,7 +47,7 @@ impl FilterDecision {
 }
 
 /// Filter thresholds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FilterConfig {
     /// N-gram LM order.
     pub lm_order: usize,
@@ -266,7 +265,7 @@ impl CoarseFilter {
 
 /// Filter-quality report against the hidden provenance labels
 /// (**evaluation only** — the filter itself never sees provenance).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FilterReport {
     /// Candidates in.
     pub total: usize,

@@ -26,10 +26,9 @@ use cosmo_exec::WorkerPool;
 use cosmo_kg::{BehaviorKind, Edge, KgStats, KnowledgeGraph, NodeKind, Relation};
 use cosmo_synth::{BehaviorConfig, BehaviorLog, SpecificityService, World, WorldConfig};
 use cosmo_teacher::{BehaviorRef, Candidate, CostMeter, Teacher, TeacherConfig};
-use serde::{Deserialize, Serialize};
 
 /// Full pipeline configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// World generation.
     pub world: WorldConfig,
@@ -54,7 +53,6 @@ pub struct PipelineConfig {
     /// Worker threads for the parallel stages. `0` = auto-detect the
     /// available parallelism; `1` = run everything inline on the caller
     /// thread. Any value produces byte-identical output.
-    #[serde(default)]
     pub threads: usize,
 }
 
@@ -107,7 +105,7 @@ impl PipelineConfig {
 }
 
 /// Per-stage counters of one pipeline run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineReport {
     /// Behaviour-sampling funnel.
     pub sampling: SamplingReport,

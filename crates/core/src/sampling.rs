@@ -19,10 +19,9 @@
 
 use cosmo_synth::{BehaviorLog, ProductId, ProductTypeId, QueryId, SpecificityService, World};
 use cosmo_text::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 
 /// Sampling strategy parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SamplingConfig {
     /// Keep products whose interaction degree is in the top fraction
     /// (e.g. 0.6 keeps the most-interacted 60%).
@@ -67,7 +66,7 @@ pub struct SampledBehaviors {
 }
 
 /// Funnel counts per stage.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SamplingReport {
     /// Distinct co-buy pairs in the raw log.
     pub cobuy_pairs_in: usize,

@@ -8,7 +8,7 @@
 //! bound. Pipelined requests work naturally: the reader consumes exactly
 //! one request's bytes per call and leaves the rest buffered.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -165,14 +165,17 @@ pub fn read_request<R: BufRead>(
 }
 
 /// Read one `\r\n`-terminated line (LF alone accepted), without the
-/// terminator, charging its bytes against the shared header budget.
+/// terminator, charging its bytes against the shared header budget. The
+/// read itself stops one byte past the budget, so a peer streaming header
+/// bytes without a line end is cut off at the cap rather than buffered.
 fn read_crlf_line<R: BufRead>(
     reader: &mut R,
     out: &mut Vec<u8>,
     max: usize,
     used: &mut usize,
 ) -> Result<(), ReadError> {
-    let n = reader.read_until(b'\n', out)?;
+    let budget = (max.saturating_sub(*used) as u64).saturating_add(1);
+    let n = reader.by_ref().take(budget).read_until(b'\n', out)?;
     if n == 0 {
         // caller distinguishes EOF-before-request from EOF-mid-request
         return Ok(());
@@ -337,6 +340,19 @@ mod tests {
             parse(huge_body),
             Err(ReadError::TooLarge("body over limit"))
         ));
+    }
+
+    #[test]
+    fn unterminated_header_line_stops_at_the_cap() {
+        let max = 8192;
+        let mut input = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
+        input.resize(input.len() + (1 << 20), b'a');
+        let mut cursor = io::Cursor::new(input);
+        assert!(matches!(
+            read_request(&mut cursor, max, 1 << 20),
+            Err(ReadError::TooLarge("header section over limit"))
+        ));
+        assert!(cursor.position() <= max as u64 + 1);
     }
 
     #[test]

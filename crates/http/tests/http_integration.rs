@@ -170,8 +170,23 @@ fn oversized_requests_get_413_or_431_without_panicking() {
     stream.read_to_string(&mut out).unwrap();
     assert!(out.starts_with("HTTP/1.1 431 "), "got {out:?}");
 
-    assert_eq!(handle.stats().oversized, 2);
-    // the server survived both: a normal request still works
+    // a header line that never ends is cut off at the cap, not buffered
+    // until the peer stops sending
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let raw = format!(
+        "GET /v1/snapshot-version HTTP/1.1\r\nx-pad: {}",
+        "a".repeat(2048)
+    );
+    stream.write_all(raw.as_bytes()).unwrap();
+    let mut out = String::new();
+    stream.read_to_string(&mut out).unwrap();
+    assert!(out.starts_with("HTTP/1.1 431 "), "got {out:?}");
+
+    assert_eq!(handle.stats().oversized, 3);
+    // the server survived all three: a normal request still works
     let mut client = HttpClient::connect(handle.addr()).unwrap();
     let ok = client.request("GET", "/v1/snapshot-version", "").unwrap();
     assert_eq!(ok.status, 200);

@@ -16,10 +16,9 @@ use crate::schema::NodeKind;
 use crate::store::NodeId;
 use crate::view::GraphView;
 use cosmo_text::{tokenize, FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 
 /// A node in the intent hierarchy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HierNode {
     /// The KG intention node.
     pub intent: NodeId,
@@ -36,7 +35,7 @@ pub struct HierNode {
 }
 
 /// The intent hierarchy: a DAG over intention tails.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct IntentHierarchy {
     /// All hierarchy nodes.
     pub nodes: Vec<HierNode>,

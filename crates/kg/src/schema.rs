@@ -6,8 +6,6 @@
 //! semantic type; the last three (prefixed `x`) describe the *customer*
 //! rather than the product, following ATOMIC's person-centric convention.
 
-use serde::{Deserialize, Serialize};
-
 /// The 15 COSMO relation types (Table 2).
 ///
 /// `repr(u8)` with declaration-order discriminants `0..15`: the v2
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// buffers back to `&[Edge]`, so the representation is part of the
 /// on-disk format (pinned by `index_roundtrip` and the snapshot layout
 /// tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Relation {
     /// Product is used for a function/usage ("dry face").
@@ -51,7 +49,7 @@ pub enum Relation {
 }
 
 /// Semantic type of a relation's tail (Table 2, middle column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TailType {
     /// Function / usage.
     Function,
@@ -215,7 +213,7 @@ impl TailType {
 ///
 /// `repr(u8)` discriminants (`Product = 0`, `Query = 1`, `Intention = 2`)
 /// are part of the snapshot binary format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum NodeKind {
     /// A product (head of co-buy knowledge).
@@ -230,7 +228,7 @@ pub enum NodeKind {
 ///
 /// `repr(u8)` discriminants (`SearchBuy = 0`, `CoBuy = 1`) are part of
 /// the snapshot binary format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BehaviorKind {
     /// Query–purchase pair within a short session.

@@ -3,7 +3,6 @@
 
 use crate::schema::{BehaviorKind, Relation};
 use crate::store::KnowledgeGraph;
-use serde::{Deserialize, Serialize};
 
 /// The 18 product categories of Table 3, in paper order ("Others" last).
 pub const CATEGORIES: [&str; 18] = [
@@ -28,7 +27,7 @@ pub const CATEGORIES: [&str; 18] = [
 ];
 
 /// One row of Table 3 (for one behaviour type).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CategoryRow {
     /// Sampled behaviour pairs feeding the pipeline.
     pub behavior_pairs: u64,
@@ -39,7 +38,7 @@ pub struct CategoryRow {
 }
 
 /// Table 3: per-category, per-behaviour statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KgStats {
     /// Rows indexed by category (0..18).
     pub cobuy: Vec<CategoryRow>,
@@ -138,7 +137,7 @@ impl KgStats {
 }
 
 /// One row of Table 1 (KG comparison).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KgComparisonRow {
     /// Graph name.
     pub name: &'static str,
@@ -225,7 +224,7 @@ pub fn table1_literature() -> Vec<KgComparisonRow> {
 }
 
 /// Summary of our built KG for the Table 1 "ours" row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KgSummary {
     /// Node count.
     pub nodes: usize,

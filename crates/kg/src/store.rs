@@ -16,16 +16,15 @@ use crate::schema::{BehaviorKind, NodeKind, Relation};
 use crate::snapshot::{KgSnapshotView, Verify};
 use crate::stream_writer::{SnapshotStreamWriter, StreamInterner, StreamOptions};
 use cosmo_text::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Dense node handle. `repr(transparent)` over `u32` so edge records in
 /// the v2 snapshot can be cast directly from validated file bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct NodeId(pub u32);
 
 /// Dense edge handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(pub u32);
 
 /// A knowledge edge `(head, relation, tail)` with provenance and scores.
@@ -35,7 +34,7 @@ pub struct EdgeId(pub u32);
 /// disk and reads edges back as a borrowed `&[Edge]` over the mapped
 /// file, with no per-edge decode. The layout is locked by compile-time
 /// offset assertions in `cosmo_kg::snapshot`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[repr(C)]
 pub struct Edge {
     /// Head node (product or query).

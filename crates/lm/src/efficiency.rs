@@ -15,10 +15,9 @@
 //!   because this crate is deterministic and may not read the clock (A04).
 
 use cosmo_teacher::{CostMeter, TeacherModel};
-use serde::{Deserialize, Serialize};
 
 /// One efficiency row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EfficiencyRow {
     /// Configuration name.
     pub name: String,

@@ -13,10 +13,9 @@ use crate::student::CosmoLm;
 use cosmo_kg::Relation;
 use cosmo_synth::{BehaviorLog, DomainId, Oracle, World};
 use cosmo_teacher::{parse_candidate, BehaviorRef, Teacher};
-use serde::{Deserialize, Serialize};
 
 /// Generation-quality comparison on held-out behaviours.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GenerationEval {
     /// Behaviours evaluated.
     pub n: usize,
@@ -80,7 +79,7 @@ pub fn eval_generation(
 }
 
 /// One Table 9 row: a generation example for a category.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table9Row {
     /// Category name.
     pub category: String,

@@ -25,10 +25,9 @@ use cosmo_synth::{DomainId, World};
 use cosmo_teacher::BehaviorRef;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The five instruction-tuning task types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskType {
     /// Generate a typical knowledge tail for a behaviour.
     Generate,

@@ -30,13 +30,12 @@ use cosmo_text::{tokenize, FxHashMap};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 const NS_TOK: u32 = 31;
 const NS_BI: u32 = 32;
 
 /// Student hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StudentConfig {
     /// RNG seed.
     pub seed: u64,
@@ -66,7 +65,7 @@ impl Default for StudentConfig {
 }
 
 /// Training/eval metrics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StudentReport {
     /// Generation instances trained on.
     pub n_generate: usize,
@@ -531,11 +530,6 @@ impl CosmoLm {
     /// Embedding width.
     pub fn dim(&self) -> usize {
         self.cfg.dim
-    }
-
-    /// Total trainable scalars (for the efficiency comparison).
-    pub fn num_parameters(&self) -> usize {
-        self.store.num_scalars()
     }
 }
 

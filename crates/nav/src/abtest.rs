@@ -23,10 +23,9 @@ use cosmo_synth::{DomainId, IntentId, ProductTypeId, QueryKind, World};
 use cosmo_text::{FxHashMap, FxHashSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Simulation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AbTestConfig {
     /// RNG seed.
     pub seed: u64,
@@ -60,7 +59,7 @@ impl Default for AbTestConfig {
 }
 
 /// A/B outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AbTestReport {
     /// Users in control.
     pub control_users: usize,

@@ -16,10 +16,9 @@
 
 use cosmo_kg::{GraphView, IntentHierarchy, KnowledgeGraph, NodeId, NodeKind};
 use cosmo_text::{tokenize, FxHashSet};
-use serde::{Deserialize, Serialize};
 
 /// A suggestion shown to the customer at some navigation turn.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Suggestion {
     /// A finer-grained intent ("winter camping").
     Intent(String),

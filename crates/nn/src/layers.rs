@@ -5,10 +5,9 @@ use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Affine map `x·W + b` with `W: [in×out]`, `b: [1×out]`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Linear {
     w: ParamId,
     b: ParamId,
@@ -68,7 +67,7 @@ impl Linear {
 }
 
 /// Token/item embedding table `[vocab×dim]` with row-gather lookup.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Embedding {
     table: ParamId,
     vocab: usize,
@@ -127,7 +126,7 @@ impl Embedding {
 
 /// Gated recurrent unit cell (Cho et al. 2014), the building block of
 /// GRU4Rec and of the session encoders.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GruCell {
     wz: ParamId,
     uz: ParamId,
@@ -264,7 +263,7 @@ pub fn attention_pool(tape: &mut Tape, query: Var, keys: Var) -> Var {
 }
 
 /// A feed-forward block: `relu(x·W1+b1)·W2+b2`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Mlp {
     l1: Linear,
     l2: Linear,

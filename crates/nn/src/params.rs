@@ -1,22 +1,20 @@
 //! Named parameter storage with gradient buffers.
 //!
-//! A [`ParamStore`] owns every trainable tensor of a model. The training
-//! loop is: build a [`crate::Tape`], reference parameters with
-//! `tape.param(&store, id)` (or gather rows of one with
-//! `tape.gather(&store, id, rows)`), compute the loss, `tape.backward(loss)`,
-//! `store.zero_grads()` (or accumulate across micro-batches),
-//! `tape.accumulate_param_grads(&mut store)`, then step an optimizer from
-//! [`crate::opt`].
+//! A [`ParamStore`] owns every trainable tensor of a model. One training
+//! step is [`crate::Tape::grad_step`]: its closure references parameters
+//! with `tape.param(store, id)` (or gathers rows of one with
+//! `tape.gather(store, id, rows)`) and returns the loss; the step
+//! backpropagates, replaces the store's gradients with the tape's, and the
+//! caller then steps an optimizer from [`crate::opt`].
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Opaque handle to a parameter in a [`ParamStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
 /// Container of named parameters and their gradients.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,
@@ -97,11 +95,6 @@ impl ParamStore {
         self.frozen[id.0] = true;
     }
 
-    /// Unfreeze a parameter.
-    pub fn unfreeze(&mut self, id: ParamId) {
-        self.frozen[id.0] = false;
-    }
-
     /// Is the parameter frozen?
     pub fn is_frozen(&self, id: ParamId) -> bool {
         self.frozen[id.0]
@@ -167,99 +160,5 @@ mod tests {
         // clipping below the threshold is a no-op
         s.clip_grad_norm(10.0);
         assert!((s.grad_norm() - 1.0).abs() < 1e-5);
-    }
-}
-
-impl ParamStore {
-    /// Serialize all parameter values (not gradients) to a compact JSON
-    /// checkpoint string.
-    pub fn to_checkpoint(&self) -> String {
-        #[derive(Serialize)]
-        struct Ckpt<'a> {
-            names: &'a [String],
-            values: &'a [Tensor],
-        }
-        serde_json::to_string(&Ckpt {
-            names: &self.names,
-            values: &self.values,
-        })
-        .expect("checkpoint serialisation cannot fail")
-    }
-
-    /// Restore parameter values from a checkpoint produced by
-    /// [`ParamStore::to_checkpoint`]. Names and shapes must match the
-    /// store's current registration order; returns an error string
-    /// otherwise (so callers can surface a useful message).
-    pub fn load_checkpoint(&mut self, json: &str) -> Result<(), String> {
-        #[derive(Deserialize)]
-        struct Ckpt {
-            names: Vec<String>,
-            values: Vec<Tensor>,
-        }
-        let ckpt: Ckpt = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if ckpt.names != self.names {
-            return Err(format!(
-                "checkpoint parameter names mismatch: expected {:?}, got {:?}",
-                self.names, ckpt.names
-            ));
-        }
-        for (slot, value) in self.values.iter_mut().zip(ckpt.values) {
-            if slot.shape() != value.shape() {
-                return Err(format!(
-                    "checkpoint shape mismatch: {:?} vs {:?}",
-                    slot.shape(),
-                    value.shape()
-                ));
-            }
-            *slot = value;
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod checkpoint_tests {
-    use super::*;
-
-    #[test]
-    fn checkpoint_roundtrip_restores_values() {
-        let mut a = ParamStore::new();
-        let w = a.add("w", Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
-        let b = a.add("b", Tensor::row(vec![0.5, -0.5]));
-        let ckpt = a.to_checkpoint();
-        // fresh store with same registration order, different values
-        let mut fresh = ParamStore::new();
-        let w2 = fresh.add("w", Tensor::zeros(2, 2));
-        let b2 = fresh.add("b", Tensor::zeros(1, 2));
-        fresh.load_checkpoint(&ckpt).unwrap();
-        assert_eq!(fresh.value(w2), a.value(w));
-        assert_eq!(fresh.value(b2), a.value(b));
-    }
-
-    #[test]
-    fn checkpoint_rejects_wrong_names() {
-        let mut a = ParamStore::new();
-        a.add("w", Tensor::zeros(1, 1));
-        let ckpt = a.to_checkpoint();
-        let mut other = ParamStore::new();
-        other.add("different", Tensor::zeros(1, 1));
-        assert!(other.load_checkpoint(&ckpt).is_err());
-    }
-
-    #[test]
-    fn checkpoint_rejects_wrong_shapes() {
-        let mut a = ParamStore::new();
-        a.add("w", Tensor::zeros(2, 3));
-        let ckpt = a.to_checkpoint();
-        let mut other = ParamStore::new();
-        other.add("w", Tensor::zeros(3, 2));
-        assert!(other.load_checkpoint(&ckpt).is_err());
-    }
-
-    #[test]
-    fn checkpoint_rejects_garbage() {
-        let mut a = ParamStore::new();
-        a.add("w", Tensor::zeros(1, 1));
-        assert!(a.load_checkpoint("not json").is_err());
     }
 }

@@ -7,10 +7,9 @@
 //! loops simple enough for the compiler to vectorise.
 
 use cosmo_exec::WorkerPool;
-use serde::{Deserialize, Serialize};
 
 /// A row-major 2-D matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -314,23 +313,6 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul_nt`] with output rows partitioned across `pool`;
-    /// byte-identical to the sequential result at any thread count.
-    pub fn matmul_nt_par(&self, other: &Tensor, pool: &WorkerPool) -> Tensor {
-        assert_eq!(
-            self.cols,
-            other.cols,
-            "matmul_nt shape mismatch: {:?} x {:?}ᵀ",
-            self.shape(),
-            other.shape()
-        );
-        if self.rows >= 2 && self.cols >= 2 {
-            self.matmul_par(&other.transpose(), pool)
-        } else {
-            self.matmul_nt(other)
-        }
-    }
-
     /// `selfᵀ · other` (`[k×n]ᵀ·[k×m] → [n×m]`).
     ///
     /// Blocked kernel with strided reads of `self`; accumulation per output
@@ -363,32 +345,6 @@ impl Tensor {
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Tensor::zeros(n, m);
         kernels::mm_tn_band_unfused(&self.data, &other.data, &mut out.data, k, n, m, 0);
-        out
-    }
-
-    /// [`Tensor::matmul_tn`] with output rows (columns of `self`)
-    /// partitioned across `pool`; byte-identical to the sequential result
-    /// at any thread count.
-    pub fn matmul_tn_par(&self, other: &Tensor, pool: &WorkerPool) -> Tensor {
-        assert_eq!(
-            self.rows,
-            other.rows,
-            "matmul_tn shape mismatch: {:?}ᵀ x {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let (k, n, m) = (self.rows, self.cols, other.cols);
-        if pool.threads() == 1 || n < 2 || n * k * m < kernels::MIN_PAR_WORK {
-            return self.matmul_tn(other);
-        }
-        let mut out = Tensor::zeros(n, m);
-        let band = n.div_ceil(pool.threads());
-        let (a, b) = (&self.data, &other.data);
-        pool.scope(|s| {
-            for (bi, out_band) in out.data.chunks_mut(band * m).enumerate() {
-                s.spawn(move || kernels::mm_tn_band(a, b, out_band, k, n, m, bi * band));
-            }
-        });
         out
     }
 
@@ -1544,11 +1500,11 @@ mod tests {
         assert!(r.get(0, 0).is_nan() && r.get(0, 1).is_nan());
     }
 
-    /// Row-banded parallel kernels must be byte-identical to sequential at
-    /// every thread count (disjoint output rows, same per-element order).
+    /// The row-banded parallel matmul must be byte-identical to sequential
+    /// at every thread count (disjoint output rows, same per-element order).
     ///
-    /// The shape must satisfy `n·k·m ≥ MIN_PAR_WORK` or the `*_par` entry
-    /// points silently fall back to sequential and the test is vacuous:
+    /// The shape must satisfy `n·k·m ≥ MIN_PAR_WORK` or `matmul_par`
+    /// silently falls back to sequential and the test is vacuous:
     /// 37·29·63 = 67,599 ≥ 65,536 crosses the threshold while keeping
     /// ragged (non-tile-multiple) edges in every dimension. Under Miri that
     /// much arithmetic takes minutes, so we drop below the threshold and
@@ -1566,11 +1522,7 @@ mod tests {
         }
         let a = pseudo(n, k, 1);
         let b = pseudo(k, m, 2);
-        let tn_a = pseudo(k, n, 3);
-        let nt_b = pseudo(m, k, 4);
         let seq = a.matmul(&b);
-        let seq_tn = tn_a.matmul_tn(&b);
-        let seq_nt = a.matmul_nt(&nt_b);
         let thread_grid: &[usize] = if cfg!(miri) {
             &[1, 4]
         } else {
@@ -1579,16 +1531,6 @@ mod tests {
         for &threads in thread_grid {
             let pool = WorkerPool::new(threads);
             assert_eq!(a.matmul_par(&b, &pool).data(), seq.data(), "t={threads}");
-            assert_eq!(
-                tn_a.matmul_tn_par(&b, &pool).data(),
-                seq_tn.data(),
-                "tn t={threads}"
-            );
-            assert_eq!(
-                a.matmul_nt_par(&nt_b, &pool).data(),
-                seq_nt.data(),
-                "nt t={threads}"
-            );
         }
     }
 }

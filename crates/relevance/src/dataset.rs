@@ -28,10 +28,9 @@ use cosmo_text::FxHashSet;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// ESCI label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EsciLabel {
     /// Exact match.
     Exact,
@@ -69,7 +68,7 @@ impl EsciLabel {
 }
 
 /// One labelled query–product pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EsciExample {
     /// Query surface text (locale-shifted).
     pub query: String,
@@ -83,7 +82,7 @@ pub struct EsciExample {
 }
 
 /// A locale's dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EsciDataset {
     /// Locale name.
     pub locale: String,
@@ -126,7 +125,7 @@ pub const LOCALES: [(&str, u64, f64, bool); 5] = [
 ];
 
 /// Dataset-size parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EsciConfig {
     /// RNG seed.
     pub seed: u64,

@@ -2,10 +2,8 @@
 //! "Considering the class imbalance distribution, we report Macro F1 and
 //! Micro F1 but focus more on the former one").
 
-use serde::{Deserialize, Serialize};
-
 /// A `k × k` confusion matrix (`rows = truth`, `cols = prediction`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Confusion {
     k: usize,
     counts: Vec<u64>,

@@ -23,7 +23,6 @@ use cosmo_text::tokenize;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 const NS_Q: u32 = 41;
 const NS_P: u32 = 42;
@@ -36,7 +35,7 @@ const NS_QG: u32 = 45;
 const CROSS_CAP: usize = 6;
 
 /// Model architecture (Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Architecture {
     /// Two-tower bi-encoder.
     BiEncoder,
@@ -58,7 +57,7 @@ impl Architecture {
 }
 
 /// Training hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RelevanceConfig {
     /// RNG seed.
     pub seed: u64,
@@ -103,7 +102,7 @@ pub struct RelevanceModel {
 }
 
 /// Train + test Macro/Micro F1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelevanceResult {
     /// Architecture evaluated.
     pub architecture: String,

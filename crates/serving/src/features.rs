@@ -19,7 +19,6 @@ use cosmo_lm::CosmoLm;
 use cosmo_text::hash::hash_str_ns;
 use cosmo_text::FxHashMap;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Hash namespace for feature-store shard routing.
@@ -29,7 +28,7 @@ const FEATURE_SHARD_NS: u32 = 0x5EEE;
 const DEFAULT_SHARDS: usize = 8;
 
 /// Structured features derived from a model response for one query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StructuredFeatures {
     /// The query these features describe.
     pub query: String,

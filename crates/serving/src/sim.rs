@@ -14,10 +14,9 @@ use crate::protocol::ServeRequest;
 use crate::system::ServingSystem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Traffic simulation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrafficConfig {
     /// RNG seed.
     pub seed: u64,
@@ -51,7 +50,7 @@ impl Default for TrafficConfig {
 }
 
 /// Per-day results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DayReport {
     /// Day index (0-based).
     pub day: usize,
@@ -64,13 +63,10 @@ pub struct DayReport {
     /// Misses.
     pub misses: u64,
     /// Pending entries evicted under drop-oldest admission this day.
-    #[serde(default)]
     pub dropped: u64,
     /// Pending enqueues refused under reject-new admission this day.
-    #[serde(default)]
     pub rejected: u64,
     /// Peak pending-queue depth observed this day.
-    #[serde(default)]
     pub queue_high_water: usize,
     /// p50 request latency (µs).
     pub p50_us: u64,

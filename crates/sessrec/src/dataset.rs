@@ -18,7 +18,6 @@ use cosmo_synth::{DomainId, ProductId, QueryId, QueryKind, World};
 use cosmo_text::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One session: parallel item / query index sequences (indices into the
 /// dataset vocabularies).
@@ -84,7 +83,7 @@ impl SessionDataset {
 }
 
 /// Generation parameters for one domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// RNG seed.
     pub seed: u64,

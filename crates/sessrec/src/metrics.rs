@@ -1,10 +1,8 @@
 //! Ranking metrics for session-based recommendation (§4.2.1):
 //! Hits@K, NDCG@K, MRR@K with a single ground-truth next item.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated ranking metrics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RankMetrics {
     /// Evaluated predictions.
     pub n: usize,

@@ -16,10 +16,9 @@ use cosmo_text::FxHashMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Shared training configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// RNG seed.
     pub seed: u64,
@@ -63,7 +62,7 @@ pub trait SessionModel {
 }
 
 /// One Table 8 cell triple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelScores {
     /// Model name.
     pub model: String,

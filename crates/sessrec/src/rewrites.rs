@@ -14,10 +14,9 @@
 use crate::dataset::SessionDataset;
 use crate::metrics::RankMetrics;
 use crate::models::SessionModel;
-use serde::{Deserialize, Serialize};
 
 /// Drift-vs-stable accuracy of one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftReport {
     /// Model name.
     pub model: String,

@@ -14,7 +14,6 @@ use crate::world::{ProductId, QueryId, World};
 use cosmo_text::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One search-buy event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,7 +38,7 @@ pub struct CoBuy {
 }
 
 /// Behaviour-log generation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BehaviorConfig {
     /// RNG seed.
     pub seed: u64,

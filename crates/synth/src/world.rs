@@ -20,22 +20,21 @@ use cosmo_text::{canonicalize_tail, FxHashMap};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Handle to an intent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IntentId(pub u32);
 
 /// Handle to a product type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProductTypeId(pub u32);
 
 /// Handle to a product.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProductId(pub u32);
 
 /// Handle to a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u32);
 
 /// A ground-truth intention: a relation-typed tail phrase rooted in one
@@ -115,7 +114,7 @@ pub struct Query {
 }
 
 /// World generation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// RNG seed: the whole world is a pure function of this config.
     pub seed: u64,
@@ -740,7 +739,7 @@ mod tests {
 
 /// Per-domain and global world statistics (diagnostics, docs, and the
 /// generator-calibration reports).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldSummary {
     /// Product types per domain (index = domain id).
     pub types_per_domain: Vec<usize>,

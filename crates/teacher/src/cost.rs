@@ -10,10 +10,8 @@
 //! accelerator throughput. The `repro -- efficiency` experiment combines
 //! this simulated cost with measured wall-clock of our actual student.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated hosted model size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TeacherModel {
     /// OPT-30B (the paper's bulk-generation model).
     Opt30b,
@@ -52,7 +50,7 @@ impl TeacherModel {
 const CLUSTER_FLOPS: f64 = 2.5e15;
 
 /// Running simulated-cost accumulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostMeter {
     model: TeacherModel,
     calls: u64,

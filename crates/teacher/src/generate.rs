@@ -25,7 +25,6 @@ use cosmo_synth::{DomainId, IntentId, ProductId, QueryId, World};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The behaviour a candidate explains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,7 +47,7 @@ impl BehaviorRef {
 
 /// Hidden generation provenance — **evaluation only**. The refinement
 /// pipeline must treat candidates as opaque text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// A typical ground-truth intent (search-buy) or an intent shared by
     /// both products (co-buy).
@@ -84,7 +83,7 @@ pub struct Candidate {
 
 /// Quality mixture of the teacher's generations (probabilities; need not
 /// sum to 1 — they are normalised at sampling time).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QualityMixture {
     /// Typical knowledge.
     pub typical: f64,
@@ -159,7 +158,7 @@ impl QualityMixture {
 }
 
 /// Teacher configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TeacherConfig {
     /// RNG seed.
     pub seed: u64,

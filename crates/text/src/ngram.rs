@@ -160,11 +160,6 @@ impl NgramLm {
         let ids = vocab.encode_sentence(&toks);
         self.perplexity(&ids)
     }
-
-    /// Number of distinct histories stored at each order (diagnostics).
-    pub fn table_sizes(&self) -> Vec<usize> {
-        self.tables.iter().map(|t| t.len()).collect()
-    }
 }
 
 /// Train a vocabulary and n-gram LM jointly from raw sentences.

@@ -5,7 +5,6 @@
 //! models. Interning keeps the hot paths integer-keyed.
 
 use crate::hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Reserved id for the unknown token.
 pub const UNK: u32 = 0;
@@ -15,7 +14,7 @@ pub const BOS: u32 = 1;
 pub const EOS: u32 = 2;
 
 /// A bidirectional token ↔ id mapping with occurrence counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocab {
     token_to_id: FxHashMap<String, u32>,
     id_to_token: Vec<String>,

@@ -8,7 +8,9 @@
 # the audit ratchet, clippy with warnings denied, the formatting check and
 # the snapshot, serve, swap and kg-scaling smokes. Smoke runs write their
 # BENCH_*.json under the gitignored artifacts/, so the gate leaves the
-# working tree clean. Requires network access (or a warm cargo cache) for
+# working tree clean; inside a git work tree it fails if `git status
+# --porcelain` after the last check differs from the status recorded
+# right after the builds. Requires network access (or a warm cargo cache) for
 # the first build.
 #
 # Slow opt-in tests (full repro experiments, scaling sweeps) are marked
@@ -24,6 +26,15 @@ cargo build --release
 # the benchmark is a package of its own (outside the root workspace) that
 # builds against cosmo-serving / cosmo-http's public API; keep it compiling
 cargo build --release --manifest-path cosmobench/Cargo.toml
+# every later step (tests, lints, smokes) must leave tracked files alone:
+# a smoke run writes under the gitignored artifacts/ and never overwrites
+# a committed full-run BENCH_*.json. Recorded after the builds, which may
+# rewrite lock files.
+in_git=false
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    in_git=true
+    tree_before="$(git status --porcelain)"
+fi
 cargo test -q
 # workspace invariant linter: SAFETY contracts, unsafe allowlist,
 # total_cmp-only float sorts, no wall clock in deterministic crates,
@@ -48,4 +59,12 @@ cargo run --release -p cosmo-bench --bin repro -- serve --swap --smoke --scale t
 # spills, asserted byte-identical to the in-memory store freeze (the
 # 6.3M-node/29M-edge world is opt-in: `repro -- kg-scaling --paper`)
 cargo run --release -p cosmo-bench --bin repro -- kg-scaling --smoke --scale tiny
+if $in_git; then
+    tree_after="$(git status --porcelain)"
+    if [ "$tree_after" != "$tree_before" ]; then
+        echo "tier1: the checks changed the working tree:" >&2
+        diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+        exit 1
+    fi
+fi
 echo "tier1: all checks passed"
