@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: one function per table/figure of the paper
 //! (see DESIGN.md §4 for the experiment index), shared context building,
-//! ablations, and the Criterion micro-benchmarks in `benches/`.
+//! ablations, and the scaling experiments (`nn-scaling`, `kg-scaling` and
+//! `serve` write the committed `BENCH_*.json` ledgers).
 //!
 //! Regenerate everything with:
 //!
@@ -105,12 +106,8 @@ mod tests {
         assert!(out.contains("1.00x"), "missing sequential baseline:\n{out}");
     }
 
-    /// The blocked kernel must clearly beat the seed scalar loop at
-    /// 256×256 (the ISSUE target is ≥3×; asserted loosely here so the
-    /// test is robust on throttled CI machines). Timing-dependent, so
-    /// opt-in: `cargo test -q --release -- --ignored`.
     /// CSR lookups must clearly beat the hashmap adjacency and snapshot
-    /// loading must clearly beat rebuilding (ISSUE targets ≥3× and ≥5×;
+    /// loading must clearly beat rebuilding (targets ≥3× and ≥5×;
     /// also re-asserts serving/nav identity over the snapshot).
     /// Timing-dependent, so opt-in: `cargo test -q --release -- --ignored`.
     #[test]
@@ -142,6 +139,10 @@ mod tests {
         );
     }
 
+    /// The blocked kernel must clearly beat the seed scalar loop at
+    /// 256×256 (the target is ≥3×; asserted loosely here so the test is
+    /// robust on throttled CI machines). Timing-dependent, so opt-in:
+    /// `cargo test -q --release -- --ignored`.
     #[test]
     #[ignore = "timing-dependent kernel speedup measurement"]
     fn blocked_matmul_beats_reference_at_256() {

@@ -11,7 +11,7 @@
 //!   scheduling.
 //! * **Panic isolation** — a panicking chunk never kills the caller or a
 //!   worker thread. [`WorkerPool::map`] re-raises the first panic *after*
-//!   every chunk has settled; [`WorkerPool::try_map_chunks`] converts
+//!   every chunk has settled; [`WorkerPool::try_map_slices`] converts
 //!   panicked chunks into data ([`ChunkResult::Panicked`]) so callers can
 //!   re-queue the affected items (the serving batch cycle does exactly
 //!   that).
@@ -109,7 +109,7 @@ impl WorkerPool {
     ///
     /// Panics *inside spawned jobs* are contained and silently dropped at
     /// this level — use [`WorkerPool::map`] (re-raises) or
-    /// [`WorkerPool::try_map_chunks`] (reports) when you care. Do not call
+    /// [`WorkerPool::try_map_slices`] (reports) when you care. Do not call
     /// `scope` from inside a job running on the same pool: the outer scope
     /// could deadlock waiting for queue slots its own jobs occupy.
     pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
@@ -173,36 +173,14 @@ impl WorkerPool {
         out
     }
 
-    /// Like [`WorkerPool::map`] but panic-*isolating*: each chunk yields
-    /// either its results or a [`ChunkResult::Panicked`] marker carrying
-    /// the item range, letting the caller recover (e.g. re-queue) the
-    /// affected inputs. Chunks are returned in index order.
-    pub fn try_map_chunks<T, R, F>(
-        &self,
-        items: &[T],
-        chunk_size: usize,
-        f: F,
-    ) -> Vec<ChunkResult<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.try_map_slices(items, chunk_size, |start, chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(j, t)| f(start + j, t))
-                .collect()
-        })
-    }
-
-    /// Like [`WorkerPool::try_map_chunks`] but the closure receives each
-    /// whole chunk (`(start, &items[start..])`) and returns its per-item
+    /// Panic-*isolating* chunked map: the closure receives each whole
+    /// chunk (`(start, &items[start..])`) and returns its per-item
     /// results, letting callers run one *batched* computation per chunk
     /// instead of an independent call per item. The returned `Vec` must
-    /// have one entry per chunk item (checked). Panic isolation and
-    /// index-ordered returns are identical to `try_map_chunks`.
+    /// have one entry per chunk item (checked). Each chunk yields either
+    /// its results or a [`ChunkResult::Panicked`] marker carrying the item
+    /// range, letting the caller recover (e.g. re-queue) the affected
+    /// inputs. Chunks are returned in index order.
     pub fn try_map_slices<T, R, F>(
         &self,
         items: &[T],
@@ -284,7 +262,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
     }
 }
 
-/// Outcome of one chunk under [`WorkerPool::try_map_chunks`].
+/// Outcome of one chunk under [`WorkerPool::try_map_slices`].
 #[derive(Debug)]
 pub enum ChunkResult<R> {
     /// The chunk completed; `results[j]` corresponds to `items[start + j]`.
@@ -456,34 +434,6 @@ mod tests {
         assert_eq!(msg, "boom at 30", "first panicking chunk wins");
         // pool must stay usable afterwards
         assert_eq!(pool.map(&items, 10, |_, &x| x), items);
-    }
-
-    #[test]
-    fn try_map_chunks_isolates_panics() {
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            let items: Vec<usize> = (0..20).collect();
-            let out = pool.try_map_chunks(&items, 5, |i, &x| {
-                assert!(!(5..10).contains(&i), "poisoned chunk");
-                x * 2
-            });
-            assert_eq!(out.len(), 4);
-            let mut recovered = Vec::new();
-            let mut panicked = Vec::new();
-            for r in &out {
-                match r {
-                    ChunkResult::Computed { start, results } => {
-                        for (j, v) in results.iter().enumerate() {
-                            assert_eq!(*v, items[start + j] * 2);
-                            recovered.push(start + j);
-                        }
-                    }
-                    ChunkResult::Panicked { start, len } => panicked.push((*start, *len)),
-                }
-            }
-            assert_eq!(panicked, vec![(5, 5)], "threads={threads}");
-            assert_eq!(recovered.len(), 15);
-        }
     }
 
     /// `try_map_slices` must deliver whole chunks with correct starts,

@@ -29,11 +29,18 @@ use cosmo_serving::{
     PROTOCOL_VERSION,
 };
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The acceptor's total time budget for reading one rejected connection's
+/// request, whatever the peer sends. `read_timeout` bounds each read, not
+/// the whole request, so a silent peer would otherwise hold the accept loop
+/// for `read_timeout` and a byte-dripping one for up to `max_header_bytes`
+/// reads; nobody else is accepted meanwhile.
+const REJECT_READ_BUDGET: Duration = Duration::from_millis(100);
 
 /// Server tuning knobs. The defaults favour test determinism over raw
 /// throughput; the load harness overrides them per experiment.
@@ -264,10 +271,14 @@ fn admit(stream: TcpStream, shared: &Shared) {
 }
 
 /// Answer one over-capacity connection `503` + `Retry-After` and close it.
+/// Runs on the acceptor, so the request read stops at
+/// [`REJECT_READ_BUDGET`].
 fn reject_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
+        Ok(stream) => DeadlineReader {
+            stream,
+            deadline: Instant::now() + REJECT_READ_BUDGET,
+        },
         Err(_) => return,
     });
     // read (and discard) the request so the peer sees the 503 as the
@@ -281,6 +292,24 @@ fn reject_connection(stream: TcpStream, shared: &Shared) {
     let resp = Response::json(503, body).with_header("retry-after", "1");
     let mut writer = BufWriter::new(stream);
     let _ = write_response(&mut writer, &resp, false);
+}
+
+/// A socket reader with a total deadline: each read's timeout is the time
+/// left, and a read past the deadline fails with `TimedOut`.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Serve queued connections until shutdown *and* the queue is empty —

@@ -11,8 +11,9 @@ use cosmo_serving::{
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small KG with real intent edges so `/v1/serve-intents` can hit and
 /// `/v1/navigate` has something to suggest.
@@ -228,6 +229,71 @@ fn connection_backpressure_rejects_with_503() {
     assert!(resp.body.contains("overloaded"));
     assert_eq!(handle.stats().rejected_conns, 1);
     handle.shutdown();
+}
+
+/// A rejected connection holds the acceptor only briefly, whatever it
+/// sends: after one that stays silent, or one that drips a header byte
+/// every 50 ms (each read well inside `read_timeout`), the next client
+/// over capacity is still answered `503` within a second.
+#[test]
+fn rejected_connection_cannot_stall_the_acceptor() {
+    for drip in [false, true] {
+        let system = test_system(ServingConfig::default(), &["sleeping bag"]);
+        let config = ServerConfig {
+            conn_workers: 1,
+            conn_backlog: 1,
+            admission: AdmissionPolicy::RejectNew,
+            read_timeout: Duration::from_secs(2),
+            ..ServerConfig::default()
+        };
+        let handle = HttpServer::start(system, config).expect("bind ephemeral");
+
+        // the pinned connection holds the single worker for read_timeout;
+        // the queued one fills the one-deep queue
+        let pinned = TcpStream::connect(handle.addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+        let queued = TcpStream::connect(handle.addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+
+        let stalling = TcpStream::connect(handle.addr()).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let dripper = drip.then(|| {
+            let stop = Arc::clone(&stop);
+            let mut stalling = stalling.try_clone().unwrap();
+            std::thread::spawn(move || {
+                let head = b"GET /v1/snapshot-version HTTP/1.1\r\nx-drip: ";
+                for i in 0..200 {
+                    let byte = head.get(i).copied().unwrap_or(b'a');
+                    if stop.load(Ordering::SeqCst) || stalling.write_all(&[byte]).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            })
+        });
+
+        let started = Instant::now();
+        let mut next = TcpStream::connect(handle.addr()).unwrap();
+        next.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        next.write_all(b"GET /v1/snapshot-version HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let mut out = String::new();
+        let read = next.read_to_string(&mut out);
+        let waited = started.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        if let Some(dripper) = dripper {
+            dripper.join().unwrap();
+        }
+
+        assert!(
+            read.is_ok() && out.starts_with("HTTP/1.1 503 "),
+            "drip={drip}: got {read:?} / {out:?} after {waited:?}"
+        );
+        assert!(waited < Duration::from_secs(1), "drip={drip}: {waited:?}");
+        assert_eq!(handle.stats().rejected_conns, 2, "drip={drip}");
+        drop((pinned, queued, stalling));
+        handle.shutdown();
+    }
 }
 
 /// Same overload under `DropOldest`: the queued-but-unserved connection
@@ -515,7 +581,6 @@ fn smuggling_vectors_are_refused_and_closed() {
 #[test]
 fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
 
     const SWAPS: u64 = 10;

@@ -152,16 +152,6 @@ impl CosmoLm {
         self.tail_vocab.len()
     }
 
-    /// The tail string at vocabulary index `i`.
-    pub fn tail(&self, i: usize) -> &str {
-        &self.tail_vocab[i]
-    }
-
-    /// Hash an input text into encoder features.
-    pub fn features(&self, input: &str) -> Vec<usize> {
-        hash_features(self.cfg.buckets, input)
-    }
-
     /// Instruction-tune on the dataset; last 15% of each task held out.
     pub fn train(&mut self, instructions: &[Instruction]) -> StudentReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xF1E7);
@@ -382,65 +372,6 @@ impl CosmoLm {
             .map(|r| self.rank_tail_row(s.out.row_slice(r), relation, k))
             .collect();
         self.scratch_pool.put(s);
-        out
-    }
-
-    /// Sample a *list* of `n` distinct tails (the paper's "1. 2. 3." list
-    /// generation, Figure 3's prompt trick) with temperature-controlled
-    /// softmax sampling over the constrained tail vocabulary. Lower
-    /// temperature → closer to greedy; higher → more diverse knowledge per
-    /// behaviour. Deterministic given the RNG.
-    pub fn sample_list(
-        &self,
-        input: &str,
-        relation: Option<Relation>,
-        n: usize,
-        temperature: f32,
-        rng: &mut impl rand::Rng,
-    ) -> Vec<String> {
-        assert!(temperature > 0.0, "temperature must be positive");
-        let mut tape = self.tape_pool.take();
-        let enc = self.encode_batch(&mut tape, &[input]);
-        let tails = self.tail_emb.table(&mut tape, &self.store);
-        let logits = tape.matmul_nt(enc, tails);
-        let row = tape.value(logits).row_slice(0);
-        let mut eligible: Vec<(usize, f32)> = row
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| match (relation, self.tail_rel[*i]) {
-                (Some(want), Some(have)) => want == have,
-                _ => true,
-            })
-            .map(|(i, &s)| (i, s / temperature))
-            .collect();
-        let mut out = Vec::with_capacity(n.min(eligible.len()));
-        for _ in 0..n {
-            if eligible.is_empty() {
-                break;
-            }
-            // softmax sampling without replacement
-            let max = eligible
-                .iter()
-                .map(|(_, s)| *s)
-                .fold(f32::NEG_INFINITY, f32::max);
-            let weights: Vec<f64> = eligible
-                .iter()
-                .map(|(_, s)| ((s - max) as f64).exp())
-                .collect();
-            let total: f64 = weights.iter().sum();
-            let mut x = rng.gen_range(0.0..total);
-            let mut pick = eligible.len() - 1;
-            for (k, w) in weights.iter().enumerate() {
-                if x < *w {
-                    pick = k;
-                    break;
-                }
-                x -= w;
-            }
-            let (idx, _) = eligible.swap_remove(pick);
-            out.push(self.tail_vocab[idx].clone());
-        }
-        self.tape_pool.put(tape);
         out
     }
 
@@ -668,45 +599,6 @@ mod tests {
             .find(|(n, _)| n == "plausibility-prediction")
             .unwrap();
         assert!(plaus.1 > 0.8, "plausibility accuracy {}", plaus.1);
-    }
-
-    #[test]
-    fn sample_list_is_distinct_and_temperature_controls_diversity() {
-        use rand::SeedableRng;
-        let mut lm = CosmoLm::new(
-            StudentConfig {
-                epochs: 15,
-                ..Default::default()
-            },
-            tails(),
-        );
-        lm.train(&toy_instructions());
-        let input = "user searched camping item fresh";
-        // samples are distinct
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let list = lm.sample_list(input, None, 3, 1.0, &mut rng);
-        let mut dedup = list.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), list.len());
-        // near-greedy temperature almost always picks the trained tail first
-        let mut greedy_hits = 0;
-        for seed in 0..20 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let first = lm.sample_list(input, None, 1, 0.05, &mut rng);
-            greedy_hits += usize::from(first[0] == "sleeping outdoors");
-        }
-        assert!(
-            greedy_hits >= 18,
-            "cold sampling should be near-greedy: {greedy_hits}/20"
-        );
-        // hot temperature explores
-        let mut seen = std::collections::HashSet::new();
-        for seed in 0..30 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            seen.insert(lm.sample_list(input, None, 1, 50.0, &mut rng)[0].clone());
-        }
-        assert!(seen.len() >= 2, "hot sampling should diversify: {seen:?}");
     }
 
     #[test]

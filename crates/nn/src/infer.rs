@@ -4,7 +4,7 @@
 //! it touches (so gradients can be accumulated against a frozen value) and
 //! records an op per node. Inference needs neither: this module provides the
 //! same forward computations reading parameters *in place* from the
-//! [`ParamStore`], writing into caller-owned scratch tensors, with zero
+//! [`crate::ParamStore`], writing into caller-owned scratch tensors, with zero
 //! autodiff bookkeeping and zero steady-state allocation.
 //!
 //! Every function here is bitwise identical to the tape formulation it
@@ -13,7 +13,6 @@
 //! means visit rows in the same order, and broadcasts apply in the same
 //! row-major order as the tape ops. Tests at the bottom lock this.
 
-use crate::params::{ParamId, ParamStore};
 use crate::tape::Tape;
 use crate::tensor::Tensor;
 use std::sync::{Mutex, PoisonError};
@@ -129,11 +128,6 @@ pub fn matmul_nt_into(x: &Tensor, table: &Tensor, scratch: &mut Vec<f32>, out: &
     x.matmul_nt_into(table, out, scratch);
 }
 
-/// Read a parameter tensor in place for inference forwards.
-pub fn param(store: &ParamStore, id: ParamId) -> &Tensor {
-    store.value(id)
-}
-
 /// A lock-protected free list of [`InferScratch`] buffers. `take` pops a
 /// recycled scratch (or builds a fresh one), `put` parks it for the next
 /// caller; the mutex is held only for the push/pop, never across a forward
@@ -208,6 +202,7 @@ mod tests {
     use super::*;
     use crate::init;
     use crate::layers::{Embedding, Linear};
+    use crate::params::ParamStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -97,16 +97,6 @@ impl Embedding {
         tape.param(store, self.table)
     }
 
-    /// Mean-pooled bag-of-ids embedding → `[1×dim]`; the workhorse text
-    /// encoder of the critic and the student model.
-    pub fn embed_bag(&self, tape: &mut Tape, store: &ParamStore, ids: &[usize]) -> Var {
-        if ids.is_empty() {
-            return tape.input(crate::tensor::Tensor::zeros(1, self.dim));
-        }
-        let g = self.forward(tape, store, ids);
-        tape.mean_rows(g)
-    }
-
     /// The raw table tensor, for tape-free inference forwards
     /// ([`crate::infer::embed_bag_into`]).
     pub fn table_value<'a>(&self, store: &'a ParamStore) -> &'a Tensor {
@@ -314,17 +304,6 @@ mod tests {
         let x = tape.input(Tensor::zeros(5, 4));
         let y = l.forward(&mut tape, &store, x);
         assert_eq!(tape.value(y).shape(), (5, 3));
-    }
-
-    #[test]
-    fn embedding_bag_of_empty_is_zero() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let e = Embedding::new(&mut store, "e", 10, 6, &mut rng);
-        let mut tape = Tape::new();
-        let v = e.embed_bag(&mut tape, &store, &[]);
-        assert_eq!(tape.value(v).shape(), (1, 6));
-        assert!(tape.value(v).data().iter().all(|&x| x == 0.0));
     }
 
     #[test]

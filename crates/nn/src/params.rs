@@ -79,11 +79,6 @@ impl ParamStore {
         self.values.is_empty()
     }
 
-    /// Total scalar count across all parameters.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(|t| t.len()).sum()
-    }
-
     /// All parameter ids.
     pub fn ids(&self) -> Vec<ParamId> {
         (0..self.values.len()).map(ParamId).collect()
@@ -106,22 +101,6 @@ impl ParamStore {
             g.zero_();
         }
     }
-
-    /// Global L2 norm of all gradients (for clipping / diagnostics).
-    pub fn grad_norm(&self) -> f32 {
-        self.grads.iter().map(|g| g.sq_norm()).sum::<f32>().sqrt()
-    }
-
-    /// Scale all gradients so their global norm is at most `max_norm`.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) {
-        let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            let s = max_norm / norm;
-            for g in self.grads.iter_mut() {
-                g.scale_assign(s);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +113,6 @@ mod tests {
         let a = s.add("w", Tensor::zeros(2, 3));
         let b = s.add("b", Tensor::zeros(1, 3));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.num_scalars(), 9);
         assert_eq!(s.name(a), "w");
         assert_eq!(s.value(b).shape(), (1, 3));
         assert_eq!(s.grad(a).shape(), (2, 3));
@@ -147,18 +125,5 @@ mod tests {
         s.grad_mut(a).data_mut()[0] = 5.0;
         s.zero_grads();
         assert_eq!(s.grad(a).data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales() {
-        let mut s = ParamStore::new();
-        let a = s.add("w", Tensor::zeros(1, 2));
-        s.grad_mut(a).data_mut().copy_from_slice(&[3.0, 4.0]);
-        assert!((s.grad_norm() - 5.0).abs() < 1e-6);
-        s.clip_grad_norm(1.0);
-        assert!((s.grad_norm() - 1.0).abs() < 1e-5);
-        // clipping below the threshold is a no-op
-        s.clip_grad_norm(10.0);
-        assert!((s.grad_norm() - 1.0).abs() < 1e-5);
     }
 }

@@ -508,24 +508,6 @@ impl Tensor {
     pub fn sq_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum()
     }
-
-    /// Stack row tensors vertically; all inputs must share `cols`.
-    pub fn vstack(rows: &[&Tensor]) -> Tensor {
-        assert!(!rows.is_empty(), "vstack of nothing");
-        let cols = rows[0].cols;
-        let mut data = Vec::with_capacity(rows.iter().map(|t| t.len()).sum());
-        let mut total_rows = 0;
-        for t in rows {
-            assert_eq!(t.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&t.data);
-            total_rows += t.rows;
-        }
-        Tensor {
-            rows: total_rows,
-            cols,
-            data,
-        }
-    }
 }
 
 /// Cache-blocked, register-tiled matmul kernels.
@@ -1311,15 +1293,6 @@ mod tests {
     fn transpose_involution() {
         let a = Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn vstack_shapes() {
-        let a = Tensor::row(vec![1., 2.]);
-        let b = Tensor::from_vec(2, 2, vec![3., 4., 5., 6.]);
-        let s = Tensor::vstack(&[&a, &b]);
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row_slice(2), &[5., 6.]);
     }
 
     #[test]

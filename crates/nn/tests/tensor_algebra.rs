@@ -67,15 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn vstack_preserves_rows(a in tensor(2, 3), b in tensor(4, 3)) {
-        let s = Tensor::vstack(&[&a, &b]);
-        prop_assert_eq!(s.shape(), (6, 3));
-        prop_assert_eq!(s.row_slice(0), a.row_slice(0));
-        prop_assert_eq!(s.row_slice(2), b.row_slice(0));
-        prop_assert_eq!(s.row_slice(5), b.row_slice(3));
-    }
-
-    #[test]
     fn sq_norm_nonnegative_and_zero_iff_zero(a in tensor(3, 3)) {
         prop_assert!(a.sq_norm() >= 0.0);
         let mut z = a.clone();

@@ -17,9 +17,10 @@
 //! * assorted string utilities: tokenization, canonicalisation of knowledge
 //!   tails, edit distance for the exact/near-duplicate filter.
 //!
-//! Everything here is deterministic and allocation-conscious; the hot paths
-//! (tokenisation, hashing, n-gram scoring) are exercised by the Criterion
-//! benches in `cosmo-bench`.
+//! Everything here is deterministic and allocation-conscious. The hot paths
+//! (tokenisation, hashing, n-gram scoring) have no standalone timer; they
+//! are timed inside the pipeline runs of `repro -- pipeline-scaling` and
+//! the benchmark's `offline` workload.
 
 #![forbid(unsafe_code)]
 
