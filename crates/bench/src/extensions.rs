@@ -641,11 +641,7 @@ fn replay_store(cfg: &ScaleConfig) -> KnowledgeGraph {
     let mut kg = KnowledgeGraph::new();
     for shard in 0..cfg.num_shards() {
         let o = cosmo_synth::generate_shard(cfg, shard);
-        let ids: Vec<NodeId> = o
-            .nodes
-            .iter()
-            .map(|(kind, text)| kg.intern_node(*kind, text))
-            .collect();
+        let ids: Vec<NodeId> = o.nodes().map(|n| kg.intern_node(n.kind, n.text)).collect();
         for e in &o.edges {
             kg.add_edge(Edge {
                 head: ids[e.head as usize],

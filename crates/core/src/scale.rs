@@ -1,22 +1,24 @@
-//! Paper-scale graph production: wave-parallel shard generation merged
-//! through the streaming snapshot writer.
+//! Paper-scale graph production: shard generation on the worker pool,
+//! pipelined with the merge through the streaming snapshot writer.
 //!
 //! [`cosmo_synth::scale`] cuts the head space into a fixed shard grid and
-//! makes each shard a pure function of `(config, shard index)`; this module
-//! fans shard generation out over the [`cosmo_exec::WorkerPool`] in waves
-//! and merges the outputs **in shard order** through a global
-//! [`StreamInterner`] + [`SnapshotStreamWriter`] — the same sequential-
-//! intern pattern the Figure-2 pipeline uses, so the bytes on disk are
-//! identical for any `threads` value (locked by a test below). The writer
-//! spills sorted edge runs as it goes, which is what keeps a 29M-edge
-//! freeze inside a laptop memory budget; see
+//! makes each shard a pure function of `(config, shard index)`. This module
+//! generates shards on the [`cosmo_exec::WorkerPool`] a bounded number
+//! ahead of the calling thread, which meanwhile merges them **in shard
+//! order** through a global [`StreamInterner`] + [`SnapshotStreamWriter`]
+//! — the same sequential-intern pattern the Figure-2 pipeline uses, so the
+//! bytes on disk are identical for any `threads` value (locked by a test
+//! below). The writer spills sorted edge runs as it goes, which is what
+//! keeps a 29M-edge freeze inside a laptop memory budget; see
 //! [`cosmo_kg::stream_writer`] for the layout and the RSS argument.
 
 use cosmo_exec::WorkerPool;
 use cosmo_kg::stream_writer::{SnapshotStreamWriter, StreamInterner, StreamOptions, StreamStats};
 use cosmo_kg::{Edge, NodeId, SnapshotError};
-use cosmo_synth::scale::{generate_shard, ScaleConfig};
+use cosmo_synth::scale::{generate_shard, ScaleConfig, ShardOutput};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Outcome of a streaming freeze, for bench reporting.
 #[derive(Debug, Clone)]
@@ -33,9 +35,10 @@ pub struct ScaleFreezeReport {
 /// stream-freeze it to a v2 snapshot at `path`.
 ///
 /// Output bytes depend only on `(cfg, opts.buffer_edges)` — never on
-/// `threads` (scheduling) or on how shards interleave in time: waves are
-/// merged in shard order, and within a shard the local intern table fixes
-/// the id assignment.
+/// `threads` (scheduling) or on how shards interleave in time: the calling
+/// thread merges shards in index order while the workers generate the next
+/// ones, and within a shard the local intern table fixes the id
+/// assignment. At most `2 × threads` shard outputs are resident at once.
 pub fn generate_and_freeze(
     cfg: &ScaleConfig,
     threads: usize,
@@ -44,46 +47,156 @@ pub fn generate_and_freeze(
 ) -> Result<ScaleFreezeReport, SnapshotError> {
     let pool = WorkerPool::new(threads);
     let shards = cfg.num_shards();
-    let mut interner = StreamInterner::new();
-    let mut writer = SnapshotStreamWriter::new(opts);
-    // Wave size bounds how many shard outputs are resident at once. It
+    let mut merge = ShardMerge::new(cfg, opts);
+    // The lookahead bounds how many shard outputs are resident at once. It
     // scales with the pool (keeping workers busy) but only affects
-    // scheduling: the merge below always walks shards in index order.
-    let wave = pool.threads().saturating_mul(2).max(1);
-    let mut scratch: Vec<NodeId> = Vec::new();
-
-    let mut next = 0usize;
-    while next < shards {
-        let batch: Vec<usize> = (next..shards.min(next + wave)).collect();
-        next += batch.len();
-        let outputs = pool.map(&batch, 1, |_, &shard| generate_shard(cfg, shard));
-        for out in outputs {
-            scratch.clear();
-            scratch.extend(
-                out.nodes
-                    .iter()
-                    .map(|(kind, text)| interner.intern(*kind, text)),
-            );
-            for e in &out.edges {
-                writer.push(Edge {
-                    head: scratch[e.head as usize],
-                    relation: e.relation,
-                    tail: scratch[e.tail as usize],
-                    behavior: e.behavior,
-                    category: e.category,
-                    plausibility: e.plausibility,
-                    typicality: e.typicality,
-                    support: e.support,
-                })?;
-            }
-        }
-    }
-
-    let stats = writer.finish(&interner, path)?;
+    // scheduling: the merge always walks shards in index order.
+    let ahead = pool.threads().saturating_mul(2).max(1);
+    ordered_lookahead(
+        &pool,
+        shards,
+        ahead,
+        |shard| generate_shard(cfg, shard),
+        |out| merge.push_shard(&out),
+    )?;
+    let stats = merge.writer.finish(&merge.interner, path)?;
     Ok(ScaleFreezeReport {
         stats,
         shards,
         threads: pool.threads(),
+    })
+}
+
+/// The calling thread's half of a freeze: global interning and edge push.
+struct ShardMerge {
+    interner: StreamInterner,
+    writer: SnapshotStreamWriter,
+    /// Global id of each intention index already interned, `UNSEEN` before
+    /// its first use. `intent_text` is injective in the index, so an index
+    /// resolves to the id its text would intern to without hashing it.
+    intent_ids: Vec<u32>,
+    /// Shard-local id → global id, reused across shards.
+    ids: Vec<NodeId>,
+    /// The current shard's edges over global ids; empty between shards.
+    edges: Vec<Edge>,
+}
+
+const UNSEEN: u32 = u32::MAX;
+
+impl ShardMerge {
+    fn new(cfg: &ScaleConfig, opts: StreamOptions) -> ShardMerge {
+        ShardMerge {
+            interner: StreamInterner::new(),
+            writer: SnapshotStreamWriter::new(opts),
+            // PANIC: the index space must fit in memory as one table; a
+            // config past usize is not a graph this process could freeze.
+            // (`max(1)`: an empty space still draws index 0.)
+            intent_ids: vec![
+                UNSEEN;
+                usize::try_from(cfg.intentions.max(1))
+                    .expect("intention space fits usize")
+            ],
+            ids: Vec::new(),
+            edges: Vec::new(),
+        }
+    }
+
+    /// Intern shard `out`'s nodes and push its edges, presorted per head.
+    fn push_shard(&mut self, out: &ShardOutput) -> Result<(), SnapshotError> {
+        self.ids.clear();
+        for node in out.nodes() {
+            let id = match node.intention {
+                Some(t) => {
+                    let slot = &mut self.intent_ids[t as usize];
+                    if *slot == UNSEEN {
+                        *slot = self.interner.intern(node.kind, node.text).0;
+                    }
+                    NodeId(*slot)
+                }
+                None => self.interner.intern(node.kind, node.text),
+            };
+            self.ids.push(id);
+        }
+        self.edges.extend(out.edges.iter().map(|e| Edge {
+            head: self.ids[e.head as usize],
+            relation: e.relation,
+            tail: self.ids[e.tail as usize],
+            behavior: e.behavior,
+            category: e.category,
+            plausibility: e.plausibility,
+            typicality: e.typicality,
+            support: e.support,
+        }));
+        // A head's edges arrive together and head ids ascend, so sorting
+        // each head's group by (relation, tail) hands the writer runs that
+        // are already in CSR order. The sort is stable: equal keys keep
+        // their arrival order, which is all duplicate folding observes, so
+        // the file bytes are unchanged.
+        for group in self.edges.chunk_by_mut(|a, b| a.head == b.head) {
+            group.sort_by_key(|e| (e.relation.index(), e.tail.0));
+        }
+        for e in self.edges.drain(..) {
+            self.writer.push(e)?;
+        }
+        Ok(())
+    }
+}
+
+/// Run `produce(0..n)` on `pool` at most `ahead` items ahead of the calling
+/// thread, which hands each result to `consume` in index order.
+///
+/// At most `ahead` results are resident at once, counting the one being
+/// consumed. A panic in `produce(i)` is caught into item `i`'s slot and
+/// re-raised on the calling thread when `consume` reaches `i`, after the
+/// items still in flight have settled, so a panicking item never leaves
+/// the caller waiting on its slot. An error from `consume` stops the run
+/// the same way. On an inline pool every `produce` runs on the calling
+/// thread, in the same index order.
+fn ordered_lookahead<R, E>(
+    pool: &WorkerPool,
+    n: usize,
+    ahead: usize,
+    produce: impl Fn(usize) -> R + Sync,
+    mut consume: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E>
+where
+    R: Send,
+{
+    let ahead = ahead.max(1);
+    let slots: Mutex<Vec<Option<std::thread::Result<R>>>> =
+        Mutex::new((0..ahead).map(|_| None).collect());
+    let filled = Condvar::new();
+    pool.scope(|s| {
+        let spawn = |i: usize| {
+            let (produce, slots, filled) = (&produce, &slots, &filled);
+            s.spawn(move || {
+                let result = catch_unwind(AssertUnwindSafe(|| produce(i)));
+                slots.lock().unwrap_or_else(PoisonError::into_inner)[i % ahead] = Some(result);
+                filled.notify_all();
+            });
+        };
+        for i in 0..n.min(ahead) {
+            spawn(i);
+        }
+        for i in 0..n {
+            let result = {
+                let mut guard = slots.lock().unwrap_or_else(PoisonError::into_inner);
+                loop {
+                    if let Some(result) = guard[i % ahead].take() {
+                        break result;
+                    }
+                    guard = filled.wait(guard).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            match result {
+                Ok(item) => consume(item)?,
+                Err(payload) => resume_unwind(payload),
+            }
+            if i + ahead < n {
+                spawn(i + ahead);
+            }
+        }
+        Ok(())
     })
 }
 
@@ -94,6 +207,69 @@ mod tests {
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("cosmo-scale-{tag}-{}.kg2", std::process::id()))
+    }
+
+    /// Drive [`ordered_lookahead`] over `n` items on `threads` workers on a
+    /// helper thread, so that a hang fails the test instead of stalling
+    /// it. Item 0 finishes only after item 1 has, when a second worker can
+    /// run item 1 meanwhile. Returns the consumed sequence and the message
+    /// of a re-raised panic.
+    fn drive_lookahead(threads: usize, n: usize, panic_at: usize) -> (Vec<usize>, Option<String>) {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (done_tx, done_rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let pool = WorkerPool::new(threads);
+            let (one_tx, one_rx) = mpsc::channel::<()>();
+            let (one_tx, one_rx) = (Mutex::new(one_tx), Mutex::new(one_rx));
+            let mut seen = Vec::new();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                ordered_lookahead(
+                    &pool,
+                    n,
+                    3,
+                    |i| {
+                        if i == panic_at {
+                            panic!("item {i} panicked");
+                        }
+                        match i {
+                            0 if threads > 1 => one_rx.lock().unwrap().recv().unwrap(),
+                            1 => one_tx.lock().unwrap().send(()).unwrap(),
+                            _ => {}
+                        }
+                        i * 10
+                    },
+                    |v| {
+                        seen.push(v / 10);
+                        Ok::<(), ()>(())
+                    },
+                )
+            }));
+            let message = caught.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            });
+            done_tx.send((seen, message)).unwrap();
+        });
+        let out = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("ordered_lookahead hung");
+        helper.join().unwrap();
+        out
+    }
+
+    #[test]
+    fn lookahead_yields_index_order_and_reraises_a_panic_without_hanging() {
+        let inline = drive_lookahead(1, 10, usize::MAX);
+        assert_eq!(inline, ((0..10).collect(), None));
+        for threads in [1, 2, 4] {
+            assert_eq!(drive_lookahead(threads, 10, usize::MAX), inline);
+            let (seen, message) = drive_lookahead(threads, 10, 6);
+            assert_eq!(seen, (0..6).collect::<Vec<_>>(), "threads={threads}");
+            assert_eq!(message.as_deref(), Some("item 6 panicked"));
+        }
     }
 
     #[test]
@@ -146,9 +322,8 @@ mod tests {
         for shard in 0..cfg.num_shards() {
             let out = generate_shard(&cfg, shard);
             let ids: Vec<_> = out
-                .nodes
-                .iter()
-                .map(|(kind, text)| kg.intern_node(*kind, text))
+                .nodes()
+                .map(|n| kg.intern_node(n.kind, n.text))
                 .collect();
             for e in &out.edges {
                 kg.add_edge(Edge {

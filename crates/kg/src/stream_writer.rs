@@ -29,8 +29,9 @@
 //!
 //! Peak memory is `O(buffer + n)` — the edge buffer window, the interner
 //! arena, the two `(n+1)` offset arrays, the `m × u32` in-edge permutation
-//! and the lookup records — but never the merged `m × Edge` vector, which
-//! only ever exists on disk. The checksum is produced *while streaming* by
+//! with its `m × u16` bucket offsets, and the lookup records — but never
+//! the merged `m × Edge` vector, which only ever exists on disk. The
+//! checksum is produced *while streaming* by
 //! [`HashingWriter`], which replicates `FxHasher::write`'s 8-byte word
 //! walk (and its tail rule) across arbitrarily chunked writes, so the
 //! header checksum equals `hash_bytes(&file[64..])` without a second read.
@@ -651,30 +652,34 @@ impl SnapshotStreamWriter {
         w.write(nodes.arena.as_bytes())?;
         w.pad_to(offsets[3] as u64)?;
 
-        // Section 3: edges — pass 2 re-merges the runs, writing each merged
-        // record straight to the sink while the in-edge permutation (the
-        // only m-sized array this pass materialises) fills by a counting
-        // sort on the tail, stable in edge index.
-        let mut in_edges = vec![0u32; m];
-        let mut in_cursor = in_offsets.clone();
+        // Section 3: edges — pass 2 re-merges the runs and writes the merged
+        // records to the sink a chunk at a time, while the in-edge
+        // permutation (the only m-sized array this pass materialises) fills
+        // by a counting sort on the tail, stable in edge index.
+        let mut in_sort = InEdgeSort::new(&in_offsets);
+        let mut chunk: Vec<u8> = Vec::with_capacity(EDGE_CHUNK * EDGE_SIZE);
         let mut next_index: u64 = 0;
         {
             let mut cursors = self.cursors()?;
             merge_runs(&mut cursors, |e| {
                 if next_index >= merged {
-                    return Err(SnapshotError::Corrupt("spill runs changed between passes"));
+                    return Err(runs_changed());
                 }
-                w.write(&encode_edge(&e))?;
-                let c = &mut in_cursor[e.tail.0 as usize];
-                in_edges[*c as usize] = next_index as u32;
-                *c += 1;
+                chunk.extend_from_slice(&encode_edge(&e));
+                if chunk.len() == chunk.capacity() {
+                    w.write(&chunk)?;
+                    chunk.clear();
+                }
+                in_sort.push(e.tail.0, next_index as u32)?;
                 next_index += 1;
                 Ok(())
             })?;
         }
+        w.write(&chunk)?;
         if next_index != merged {
-            return Err(SnapshotError::Corrupt("spill runs changed between passes"));
+            return Err(runs_changed());
         }
+        let in_edges = in_sort.finish()?;
         w.pad_to(offsets[4] as u64)?;
 
         // Sections 4–7: offset arrays, in-edges, lookup records.
@@ -706,6 +711,104 @@ impl SnapshotStreamWriter {
         };
         Ok((w.inner, checksum, stats))
     }
+}
+
+/// Merged edges encoded per sink write in pass 2.
+const EDGE_CHUNK: usize = 2048;
+
+/// Tails per in-edge bucket are `2^shift`, with `shift` in this range: at
+/// least a cache-sized bucket, at most what a `u16` offset addresses.
+const MIN_BUCKET_SHIFT: u32 = 10;
+const MAX_BUCKET_SHIFT: u32 = 16;
+
+/// The in-edge permutation — edge indices stably sorted by tail — built by
+/// a counting sort in two cache-friendly steps. A direct scatter writes at
+/// random over the whole `m`-entry array, which at a million edges costs
+/// more than the rest of the pass. Instead, [`push`](Self::push) appends
+/// each edge index to its tail *bucket*'s range of the output (a bucket is
+/// `2^shift` consecutive tails, and there are about 256 buckets, so the
+/// appends are a few hundred sequential streams) and records the tail's
+/// offset in the bucket. [`finish`](Self::finish) then scatters each
+/// bucket's range, small enough to stay in cache, by that offset. Both
+/// steps keep push order within a tail, so the result equals the direct
+/// scatter.
+struct InEdgeSort<'a> {
+    /// `n + 1` prefix sums of the in-degrees.
+    in_offsets: &'a [u32],
+    shift: u32,
+    /// Next free slot of each bucket's range.
+    bucket_next: Vec<u32>,
+    /// The output: edge indices, grouped by bucket until `finish`.
+    in_edges: Vec<u32>,
+    /// Each slot's tail offset within its bucket.
+    tail_in_bucket: Vec<u16>,
+}
+
+impl<'a> InEdgeSort<'a> {
+    fn new(in_offsets: &'a [u32]) -> InEdgeSort<'a> {
+        let n = in_offsets.len() - 1;
+        let m = in_offsets[n] as usize;
+        let bits = usize::BITS - n.leading_zeros();
+        let shift = bits
+            .saturating_sub(8)
+            .clamp(MIN_BUCKET_SHIFT, MAX_BUCKET_SHIFT);
+        InEdgeSort {
+            in_offsets,
+            shift,
+            bucket_next: in_offsets.iter().step_by(1 << shift).copied().collect(),
+            in_edges: vec![0; m],
+            tail_in_bucket: vec![0; m],
+        }
+    }
+
+    fn push(&mut self, tail: u32, index: u32) -> Result<(), SnapshotError> {
+        let next = self
+            .bucket_next
+            .get_mut((tail >> self.shift) as usize)
+            .ok_or_else(runs_changed)?;
+        let at = *next as usize;
+        *self.in_edges.get_mut(at).ok_or_else(runs_changed)? = index;
+        self.tail_in_bucket[at] = (tail & ((1 << self.shift) - 1)) as u16;
+        *next += 1;
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<Vec<u32>, SnapshotError> {
+        let n = self.in_offsets.len() - 1;
+        let (mut staged, mut cursor) = (Vec::new(), Vec::new());
+        for (b, &next) in self.bucket_next.iter().enumerate() {
+            let first = b << self.shift;
+            let end = (first + (1 << self.shift)).min(n);
+            let (lo, hi) = (
+                self.in_offsets[first] as usize,
+                self.in_offsets[end] as usize,
+            );
+            if next as usize != hi {
+                return Err(runs_changed());
+            }
+            staged.clear();
+            staged.extend_from_slice(&self.in_edges[lo..hi]);
+            cursor.clear();
+            cursor.extend_from_slice(&self.in_offsets[first..end]);
+            for (&index, &t) in staged.iter().zip(&self.tail_in_bucket[lo..hi]) {
+                let c = cursor.get_mut(t as usize).ok_or_else(runs_changed)?;
+                *self
+                    .in_edges
+                    .get_mut(*c as usize)
+                    .ok_or_else(runs_changed)? = index;
+                *c += 1;
+            }
+            // Every tail filled exactly its own range.
+            if cursor[..] != self.in_offsets[first + 1..=end] {
+                return Err(runs_changed());
+            }
+        }
+        Ok(self.in_edges)
+    }
+}
+
+fn runs_changed() -> SnapshotError {
+    SnapshotError::Corrupt("spill runs changed between passes")
 }
 
 impl Drop for SnapshotStreamWriter {
@@ -988,6 +1091,64 @@ mod tests {
             assert_eq!(w.finish_hash(), hash_bytes(&payload), "chunks {chunks:?}");
             assert_eq!(w.inner, payload);
         }
+    }
+
+    /// Edge tails over `n` nodes with uneven in-degrees, some zero, and
+    /// the in-degree prefix sums they give.
+    fn tails_and_offsets(n: u32, m: u64) -> (Vec<u32>, Vec<u32>) {
+        let tails: Vec<u32> = (0..m)
+            .map(|i| {
+                let r = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                (r % (n as u64 / (1 + i % 3)).max(1)) as u32
+            })
+            .collect();
+        let mut offsets = vec![0u32; n as usize + 1];
+        for &t in &tails {
+            offsets[t as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        (tails, offsets)
+    }
+
+    #[test]
+    fn bucketed_in_edge_sort_matches_direct_scatter() {
+        // 5,000 nodes span five 1,024-tail buckets, the last one partial.
+        for (n, m) in [(5_000u32, 40_000u64), (1, 3), (3, 0), (0, 0)] {
+            let (tails, offsets) = tails_and_offsets(n, m);
+            let mut direct = vec![0u32; m as usize];
+            let mut cursor = offsets.clone();
+            for (i, &t) in tails.iter().enumerate() {
+                direct[cursor[t as usize] as usize] = i as u32;
+                cursor[t as usize] += 1;
+            }
+            let mut sort = InEdgeSort::new(&offsets);
+            for (i, &t) in tails.iter().enumerate() {
+                sort.push(t, i as u32).unwrap();
+            }
+            assert_eq!(sort.finish().unwrap(), direct, "n={n} m={m}");
+        }
+    }
+
+    #[test]
+    fn in_edge_sort_rejects_tails_that_changed_since_counting() {
+        let (mut tails, offsets) = tails_and_offsets(5_000, 10_000);
+        // Same bucket, different tail: bucket totals still agree.
+        tails[17] ^= 1;
+        let mut sort = InEdgeSort::new(&offsets);
+        for (i, &t) in tails.iter().enumerate() {
+            sort.push(t, i as u32).unwrap();
+        }
+        assert!(matches!(sort.finish(), Err(SnapshotError::Corrupt(_))));
+        // One edge more than counted.
+        let mut sort = InEdgeSort::new(&offsets);
+        let pushed: Result<(), _> = tails
+            .iter()
+            .chain([&tails[0]])
+            .enumerate()
+            .try_for_each(|(i, &t)| sort.push(t, i as u32));
+        assert!(pushed.is_err() || sort.finish().is_err());
     }
 
     #[test]

@@ -503,11 +503,6 @@ impl Tensor {
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
-
-    /// Squared Frobenius norm.
-    pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum()
-    }
 }
 
 /// Cache-blocked, register-tiled matmul kernels.

@@ -65,12 +65,4 @@ proptest! {
         let rhs = a.map(|x| s * x);
         assert_close(&lhs, &rhs);
     }
-
-    #[test]
-    fn sq_norm_nonnegative_and_zero_iff_zero(a in tensor(3, 3)) {
-        prop_assert!(a.sq_norm() >= 0.0);
-        let mut z = a.clone();
-        z.zero_();
-        prop_assert_eq!(z.sq_norm(), 0.0);
-    }
 }

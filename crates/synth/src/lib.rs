@@ -37,7 +37,7 @@ pub use behavior::{BehaviorConfig, BehaviorLog, CoBuy, SearchBuy, SpecificitySer
 pub use corpus::corpus;
 pub use domain::{DomainId, DomainSpec, SPECS};
 pub use oracle::{Judgment, Oracle, TYPICAL_WEIGHT};
-pub use scale::{generate_shard, ScaleConfig, ShardEdge, ShardOutput};
+pub use scale::{generate_shard, ScaleConfig, ShardEdge, ShardNode, ShardOutput};
 pub use world::{
     Intent, IntentId, Product, ProductId, ProductType, ProductTypeId, Query, QueryId, QueryKind,
     World, WorldConfig,

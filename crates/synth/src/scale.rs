@@ -12,9 +12,11 @@
 //! heads. [`generate_shard`] is a pure function of `(config, shard index)`
 //! — it interns nodes into a shard-local table and emits edges over local
 //! ids — so shards can be generated on any number of worker threads and
-//! merged in shard order through a global interner (the PR 2 sequential-
-//! intern pattern, orchestrated by `cosmo-core`), with byte-identical
-//! output at any `threads` value. Intention tails are drawn from a shared
+//! merged in shard order through a global interner (the sequential-intern
+//! pattern of the Figure-2 pipeline, orchestrated by `cosmo-core`), with
+//! byte-identical output at any `threads` value. Each intention node
+//! carries its global index, so the merge can map an index it has seen
+//! before straight to its global id. Intention tails are drawn from a shared
 //! global index space, so distinct shards intentionally collide on tails
 //! (that is what gives intentions their in-degree) and a slice of draws is
 //! funnelled through a small "hub" subset to reproduce the heavy-tailed
@@ -25,6 +27,7 @@
 use crate::domain::{BRANDS, MODIFIERS, SPECS, TIMES};
 use cosmo_kg::{BehaviorKind, NodeKind, Relation};
 use cosmo_text::FxHashMap;
+use std::fmt::Write;
 
 /// splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
 #[inline]
@@ -144,44 +147,115 @@ pub struct ShardEdge {
 /// One generated shard: a local intern table in first-use order plus edges
 /// over local ids. Merging shards in shard order through a global interner
 /// reproduces one deterministic global graph.
+///
+/// Node texts live in one arena `String` with per-node end offsets, so a
+/// shard of tens of thousands of nodes is a handful of allocations, and
+/// every intention node carries its global intention index, which lets a
+/// merge recognise a tail it has already interned without reading its
+/// text.
 #[derive(Debug)]
 pub struct ShardOutput {
     /// Shard index this output came from.
     pub shard: usize,
-    /// `(kind, text)` in local-id order.
-    pub nodes: Vec<(NodeKind, String)>,
+    /// Per-node kind, arena end and intention index, in local-id order.
+    nodes: Vec<LocalNode>,
+    /// Every node's text, concatenated in local-id order.
+    arena: String,
     /// Edges over local ids, in arrival order.
     pub edges: Vec<ShardEdge>,
+}
+
+/// A local node's fixed-size record; its text is `arena[prev end..end]`.
+#[derive(Debug, Clone, Copy)]
+struct LocalNode {
+    end: u32,
+    kind: NodeKind,
+    /// Global intention index, `NOT_INTENTION` for a head.
+    intention: u64,
+}
+
+const NOT_INTENTION: u64 = u64::MAX;
+
+/// One node of a [`ShardOutput`], borrowed from its arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardNode<'a> {
+    /// Node kind.
+    pub kind: NodeKind,
+    /// Surface text.
+    pub text: &'a str,
+    /// Global intention index `t` (the text is [`intent_text`]`(cfg, t)`);
+    /// `None` for a query or product head.
+    pub intention: Option<u64>,
+}
+
+impl ShardOutput {
+    /// Every local node, in local-id order.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = ShardNode<'_>> + '_ {
+        let mut start = 0usize;
+        self.nodes.iter().map(move |n| {
+            let text = &self.arena[start..n.end as usize];
+            start = n.end as usize;
+            ShardNode {
+                kind: n.kind,
+                text,
+                intention: (n.intention != NOT_INTENTION).then_some(n.intention),
+            }
+        })
+    }
+
+    fn push_node(&mut self, kind: NodeKind, intention: u64) -> u32 {
+        // PANIC: a shard is at most `shard_heads` heads and their tails;
+        // its texts and ids stay far below the u32 range.
+        let end = u32::try_from(self.arena.len()).expect("shard arena exceeds u32 offsets");
+        let local = u32::try_from(self.nodes.len()).expect("shard exceeds u32 local ids");
+        self.nodes.push(LocalNode {
+            end,
+            kind,
+            intention,
+        });
+        local
+    }
 }
 
 /// Surface text of head `h` (query heads come first, then products).
 /// Texts embed the head serial, so every head is a distinct node and the
 /// global node count is exact.
 pub fn head_text(cfg: &ScaleConfig, h: u64) -> (NodeKind, String) {
+    let mut text = String::new();
+    let kind = write_head_text(cfg, h, &mut text);
+    (kind, text)
+}
+
+/// Append head `h`'s text to `out` and return its kind.
+fn write_head_text(cfg: &ScaleConfig, h: u64, out: &mut String) -> NodeKind {
     let d = (h % SPECS.len() as u64) as usize;
     let spec = &SPECS[d];
     let r = mix64(cfg.seed ^ mix64(h.wrapping_add(0x5EED_5EED)));
     let modifier = MODIFIERS[(r % MODIFIERS.len() as u64) as usize];
     let base = spec.bases[((r >> 8) % spec.bases.len() as u64) as usize];
+    // Writing into a String cannot fail.
     if h < cfg.queries {
         let function = spec.functions[((r >> 16) % spec.functions.len() as u64) as usize];
-        (
-            NodeKind::Query,
-            format!("{modifier} {base} for {function} {h:07}"),
-        )
+        let _ = write!(out, "{modifier} {base} for {function} {h:07}");
+        NodeKind::Query
     } else {
         let brand = BRANDS[((r >> 16) % BRANDS.len() as u64) as usize];
         let serial = h - cfg.queries;
-        (
-            NodeKind::Product,
-            format!("{brand} {modifier} {base} {serial:07}"),
-        )
+        let _ = write!(out, "{brand} {modifier} {base} {serial:07}");
+        NodeKind::Product
     }
 }
 
 /// Surface text of intention `t` — a lexicon phrase from `t`'s domain with
 /// the index embedded so tails are distinct across the index space.
 pub fn intent_text(cfg: &ScaleConfig, t: u64) -> String {
+    let mut text = String::new();
+    write_intent_text(cfg, t, &mut text);
+    text
+}
+
+/// Append intention `t`'s text to `out`.
+fn write_intent_text(cfg: &ScaleConfig, t: u64, out: &mut String) {
     let d = (t % SPECS.len() as u64) as usize;
     let spec = &SPECS[d];
     let r = mix64(cfg.seed ^ mix64(t.wrapping_add(0x7A11_7A11)));
@@ -195,15 +269,20 @@ pub fn intent_text(cfg: &ScaleConfig, t: u64) -> String {
     ];
     let pool = pools[((r >> 4) % pools.len() as u64) as usize];
     let phrase = pool[((r >> 12) % pool.len() as u64) as usize];
-    format!("{phrase} #{t}")
+    // Writing into a String cannot fail.
+    let _ = write!(out, "{phrase} #{t}");
 }
 
 /// Generate shard `shard` — a pure function of `(cfg, shard)`.
 pub fn generate_shard(cfg: &ScaleConfig, shard: usize) -> ShardOutput {
     let start = shard as u64 * cfg.shard_heads.max(1) as u64;
     let end = (start + cfg.shard_heads.max(1) as u64).min(cfg.total_heads());
-    let mut nodes: Vec<(NodeKind, String)> = Vec::new();
-    let mut edges: Vec<ShardEdge> = Vec::new();
+    let mut out = ShardOutput {
+        shard,
+        nodes: Vec::new(),
+        arena: String::new(),
+        edges: Vec::new(),
+    };
     // Global intention index → local id; first use appends the node.
     let mut tails: FxHashMap<u64, u32> = FxHashMap::default();
     let hubs = (cfg.intentions / 64).max(1);
@@ -211,8 +290,8 @@ pub fn generate_shard(cfg: &ScaleConfig, shard: usize) -> ShardOutput {
     for h in start..end {
         let is_query = h < cfg.queries;
         let d = (h % SPECS.len() as u64) as u8;
-        let head_local = nodes.len() as u32;
-        nodes.push(head_text(cfg, h));
+        let kind = write_head_text(cfg, h, &mut out.arena);
+        let head_local = out.push_node(kind, NOT_INTENTION);
 
         let r0 = mix64(cfg.seed ^ mix64(h.wrapping_mul(0x2545_F491_4F6C_DD1D)));
         let base = if is_query {
@@ -236,16 +315,17 @@ pub fn generate_shard(cfg: &ScaleConfig, shard: usize) -> ShardOutput {
                     } else {
                         (r >> 13) % cfg.intentions.max(1)
                     };
-                    let next_local = nodes.len() as u32;
+                    let next_local = out.nodes.len() as u32;
                     let local = *tails.entry(t).or_insert(next_local);
                     if local == next_local {
-                        nodes.push((NodeKind::Intention, intent_text(cfg, t)));
+                        write_intent_text(cfg, t, &mut out.arena);
+                        out.push_node(NodeKind::Intention, t);
                     }
                     let rel = Relation::ALL[((r >> 3) % Relation::ALL.len() as u64) as usize];
                     (rel, local)
                 }
             };
-            edges.push(ShardEdge {
+            out.edges.push(ShardEdge {
                 head: head_local,
                 relation,
                 tail: tail_local,
@@ -263,11 +343,7 @@ pub fn generate_shard(cfg: &ScaleConfig, shard: usize) -> ShardOutput {
         }
     }
 
-    ShardOutput {
-        shard,
-        nodes,
-        edges,
-    }
+    out
 }
 
 #[cfg(test)]
@@ -280,7 +356,7 @@ mod tests {
         for shard in [0, 1, cfg.num_shards() - 1] {
             let a = generate_shard(&cfg, shard);
             let b = generate_shard(&cfg, shard);
-            assert_eq!(a.nodes, b.nodes);
+            assert!(a.nodes().eq(b.nodes()));
             assert_eq!(a.edges.len(), b.edges.len());
             for (x, y) in a.edges.iter().zip(&b.edges) {
                 assert_eq!((x.head, x.relation, x.tail), (y.head, y.relation, y.tail));
@@ -298,18 +374,25 @@ mod tests {
         for shard in 0..cfg.num_shards() {
             let out = generate_shard(&cfg, shard);
             let shard_heads = out
-                .nodes
-                .iter()
-                .filter(|(k, _)| *k != NodeKind::Intention)
+                .nodes()
+                .filter(|n| n.kind != NodeKind::Intention)
                 .count() as u64;
             heads += shard_heads;
             raw_edges += out.edges.len() as u64;
             // Local ids are in-range and heads precede their edges.
+            let nodes: Vec<ShardNode> = out.nodes().collect();
             for e in &out.edges {
-                assert!((e.head as usize) < out.nodes.len());
-                assert!((e.tail as usize) < out.nodes.len());
-                assert_ne!(out.nodes[e.head as usize].0, NodeKind::Intention);
-                assert_eq!(out.nodes[e.tail as usize].0, NodeKind::Intention);
+                assert!((e.head as usize) < nodes.len());
+                assert!((e.tail as usize) < nodes.len());
+                assert_ne!(nodes[e.head as usize].kind, NodeKind::Intention);
+                assert_eq!(nodes[e.tail as usize].kind, NodeKind::Intention);
+            }
+            // Texts and intention tags agree with the per-node generators.
+            for node in nodes {
+                match node.intention {
+                    Some(t) => assert_eq!(node.text, intent_text(&cfg, t)),
+                    None => assert_ne!(node.kind, NodeKind::Intention),
+                }
             }
         }
         assert_eq!(heads, cfg.total_heads());
