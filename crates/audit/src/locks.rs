@@ -8,8 +8,10 @@
 //! ## Model
 //!
 //! * An *acquisition* is a no-argument `.lock()`, `.read()`, or
-//!   `.write()` call (parking_lot and std both fit; IO `read`/`write`
-//!   always take arguments, so they never match).
+//!   `.write()` call on a std lock (IO `read`/`write` always take
+//!   arguments, so they never match). Its poison adapter
+//!   (`.unwrap_or_else(PoisonError::into_inner)`, `.expect(…)`, …)
+//!   yields the guard, so it is looked through.
 //! * A lock's identity is its access-path class: the last named field or
 //!   producer function in the receiver chain (`self.shards[i].l2.write()`
 //!   → `l2`, `shared.queue.lock()` → `queue`,
@@ -17,7 +19,8 @@
 //!   underlying lock under different fields under-approximate (a missed
 //!   cycle), never over-approximate — see DESIGN.md §7.
 //! * A guard bound by `let g = …` is held until its block closes or
-//!   `drop(g)`; an unbound (temporary) guard is held to the end of its
+//!   `drop(g)`; an unbound (temporary) guard, or one a chain borrows
+//!   from (`let n = m.lock().len()`), is held to the end of its
 //!   statement. `let _ = …` drops immediately and is treated as
 //!   statement-scoped.
 //! * Holding `a` while acquiring `b` (directly, or anywhere inside a
@@ -287,17 +290,7 @@ fn walk_fn(
                         continue;
                     }
                     if let Some(id) = receiver_lock_id(tree, i) {
-                        // A guard immediately chained on (`.lock().len()`)
-                        // is a temporary dropped at its statement's end —
-                        // except the std-mutex poison adapters, where the
-                        // chain *is* the guard (`.lock().expect(…)`).
-                        let chained = tree.toks.get(i + 4).map(|t| t.text.as_str()) == Some(".")
-                            && !tree.toks.get(i + 5).is_some_and(|m| {
-                                matches!(
-                                    m.text.as_str(),
-                                    "expect" | "unwrap" | "unwrap_or_else" | "map_err"
-                                )
-                            });
+                        let chained = guard_is_chained(tree, i + 4);
                         // An unchained acquisition inside a closure runs
                         // once per element with earlier guards still live
                         // (`.map(|s| s.l2.write()).collect()`): the same
@@ -399,6 +392,46 @@ fn receiver_lock_id(tree: &FileTree, dot: usize) -> Option<String> {
         }
         _ => None,
     }
+}
+
+/// Whether the guard of the acquisition ending just before token
+/// `after` is a temporary borrowed by a longer chain (`.lock().len()`),
+/// dropped at its statement's end. A std poison adapter
+/// (`.lock().unwrap_or_else(PoisonError::into_inner)`, `.expect(…)`)
+/// yields the guard itself, so the chain is read past the adapter's
+/// closing `)`.
+fn guard_is_chained(tree: &FileTree, after: usize) -> bool {
+    let text = |j: usize| tree.toks.get(j).map(|t| t.text.as_str());
+    let mut j = after;
+    if text(j) == Some(".")
+        && matches!(
+            text(j + 1),
+            Some("expect" | "unwrap" | "unwrap_or_else" | "map_err")
+        )
+        && text(j + 2) == Some("(")
+    {
+        let Some(close) = match_forward(tree, j + 2, "(", ")") else {
+            return false;
+        };
+        j = close + 1;
+    }
+    text(j) == Some(".")
+}
+
+/// Find the matching closer for the opener at `idx`, walking forward.
+fn match_forward(tree: &FileTree, idx: usize, open: &str, close: &str) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, t) in tree.toks.iter().enumerate().skip(idx) {
+        if t.text == open {
+            depth += 1;
+        } else if t.text == close {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
 }
 
 /// Find the matching opener for the closer at `idx`, walking backward.
@@ -536,16 +569,29 @@ mod tests {
 
     #[test]
     fn temporary_guard_is_statement_scoped() {
-        let src = "fn f(&self) {\n    let n = self.alpha.lock().len();\n    let b = self.beta.lock();\n}\nfn g(&self) {\n    let b = self.beta.lock();\n    let a = self.alpha.lock();\n}\n";
-        assert!(cycles(src).is_empty(), "temporary released at `;`");
+        // the bare form and the std form, whose poison adapter yields the
+        // guard that the chain then borrows from
+        for temp in [
+            "self.alpha.lock().len()",
+            "self.alpha.lock().unwrap_or_else(PoisonError::into_inner).len()",
+            "self.alpha.lock().expect(\"alpha\").len()",
+        ] {
+            let src = format!("fn f(&self) {{\n    let n = {temp};\n    let b = self.beta.lock();\n}}\nfn g(&self) {{\n    let b = self.beta.lock();\n    let a = self.alpha.lock();\n}}\n");
+            assert!(cycles(&src).is_empty(), "temporary released at `;`: {temp}");
+        }
     }
 
     #[test]
     fn self_edge_from_same_class_collect_is_reported() {
-        let src = "fn f(&self) {\n    let guards: Vec<_> = self.shards.iter().map(|s| s.l2.write()).collect();\n    use_all(guards);\n}\n";
-        let vs = cycles(src);
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert!(vs[0].message.contains("l2"));
+        for acquire in [
+            "s.l2.write()",
+            "s.l2.write().unwrap_or_else(PoisonError::into_inner)",
+        ] {
+            let src = format!("fn f(&self) {{\n    let guards: Vec<_> = self.shards.iter().map(|s| {acquire}).collect();\n    use_all(guards);\n}}\n");
+            let vs = cycles(&src);
+            assert_eq!(vs.len(), 1, "{acquire}: {vs:?}");
+            assert!(vs[0].message.contains("l2"));
+        }
     }
 
     #[test]
@@ -558,9 +604,18 @@ mod tests {
 
     #[test]
     fn closure_param_resolves_to_collection() {
-        let src = "fn f(&self) {\n    let a = self.outer.lock();\n    let n: usize = self.shards.iter().map(|s| s.read().len()).sum();\n}\nfn g(&self) {\n    let s = self.shards[0].read();\n    let a = self.outer.lock();\n}\n";
-        let vs = cycles(src);
-        assert_eq!(vs.len(), 1, "outer→shards in f, shards→outer in g: {vs:?}");
+        for len in [
+            "s.read().len()",
+            "s.read().unwrap_or_else(PoisonError::into_inner).len()",
+        ] {
+            let src = format!("fn f(&self) {{\n    let a = self.outer.lock();\n    let n: usize = self.shards.iter().map(|s| {len}).sum();\n}}\nfn g(&self) {{\n    let s = self.shards[0].read();\n    let a = self.outer.lock();\n}}\n");
+            let vs = cycles(&src);
+            assert_eq!(
+                vs.len(),
+                1,
+                "outer→shards in f, shards→outer in g: {len}: {vs:?}"
+            );
+        }
     }
 
     #[test]

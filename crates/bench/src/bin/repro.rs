@@ -11,7 +11,6 @@ fn main() {
     let mut scale = Scale::Small;
     let mut seed = 0x000C_0530_u64;
     let mut smoke = false;
-    let mut swap = false;
     let mut paper = false;
     let mut targets: Vec<String> = Vec::new();
     let mut i = 0;
@@ -27,7 +26,6 @@ fn main() {
                 seed = args[i].parse().expect("--seed <u64>");
             }
             "--smoke" => smoke = true,
-            "--swap" => swap = true,
             "--paper" => paper = true,
             other => targets.push(other.to_string()),
         }
@@ -35,7 +33,7 @@ fn main() {
     }
     if targets.is_empty() {
         eprintln!(
-            "usage: repro <experiment|all|ablations> [--scale tiny|small|full] [--smoke] [--swap] [--paper]"
+            "usage: repro <experiment|all|ablations> [--scale tiny|small|full] [--smoke] [--paper]"
         );
         eprintln!("experiments: {}", EXPERIMENTS.join(", "));
         std::process::exit(2);
@@ -60,16 +58,10 @@ fn main() {
 
     for t in &targets {
         let t1 = Instant::now();
-        // two experiments have mode switches. `serve`: --smoke is the
-        // seconds-long CI gate, --swap exercises hot snapshot reloads
-        // under live traffic, the default is the full saturation sweep.
-        // `kg-scaling`: --smoke is the CI gate, --paper streams the full
-        // 6.3M-node / 29M-edge world (minutes; ~3 GB of scratch disk).
-        let result = if t == "serve" && swap {
-            Some(cosmo_bench::serve::serve_swap(&ctx, smoke))
-        } else if t == "serve" {
-            Some(cosmo_bench::serve::serve(&ctx, smoke))
-        } else if t == "kg-scaling" {
+        // `kg-scaling` has mode switches: --smoke is the CI gate, --paper
+        // streams the full 6.3M-node / 29M-edge world (minutes; ~3 GB of
+        // scratch disk).
+        let result = if t == "kg-scaling" {
             let tier = if paper {
                 cosmo_bench::extensions::KgTier::Paper
             } else if smoke {

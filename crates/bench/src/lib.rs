@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one function per table/figure of the paper
 //! (see DESIGN.md §4 for the experiment index), shared context building,
-//! ablations, and the scaling experiments (`nn-scaling`, `kg-scaling` and
-//! `serve` write the committed `BENCH_*.json` ledgers).
+//! ablations, and the scaling experiments (`nn-scaling` and `kg-scaling`
+//! write the committed `BENCH_*.json` ledgers).
 //!
 //! Regenerate everything with:
 //!
@@ -21,13 +21,12 @@ pub mod figures;
 pub mod kgstats;
 pub mod output;
 pub mod rss;
-pub mod serve;
 pub mod tables;
 
 pub use context::{build_context, Ctx, Scale};
 
 /// All experiment names accepted by the `repro` binary.
-pub const EXPERIMENTS: [&str; 24] = [
+pub const EXPERIMENTS: [&str; 23] = [
     "table1",
     "table2",
     "table3",
@@ -48,7 +47,6 @@ pub const EXPERIMENTS: [&str; 24] = [
     "rewrites",
     "feedback",
     "kgstats",
-    "serve",
     "pipeline-scaling",
     "nn-scaling",
     "kg-scaling",
@@ -74,9 +72,6 @@ pub fn run_experiment(ctx: &Ctx, name: &str) -> Option<String> {
         "figure10" => figures::figure10(ctx),
         "abtest" => figures::abtest(ctx),
         "efficiency" => figures::efficiency(ctx),
-        // smoke mode here keeps `repro -- all` fast; the full saturation
-        // sweep is `repro -- serve` (without --smoke) via the binary
-        "serve" => serve::serve(ctx, /*smoke=*/ true),
         "kgstats" => kgstats::kgstats(ctx),
         "rewrites" => extensions::rewrites(ctx),
         "feedback" => extensions::feedback_loop(ctx),

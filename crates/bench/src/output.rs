@@ -3,8 +3,8 @@
 //! never overwrite a committed full-run row.
 //!
 //! `cargo run -p cosmo-bench` from a crate subdirectory used to scatter
-//! artifacts wherever the cwd happened to be (PR 7 accidentally committed
-//! `crates/bench/BENCH_serve.json` that way). The repo root is known at
+//! artifacts wherever the cwd happened to be (a stray ledger was once
+//! committed under `crates/bench/` that way). The repo root is known at
 //! compile time — this crate's manifest dir is `crates/bench` — so resolve
 //! against that instead of the cwd.
 //!

@@ -34,6 +34,6 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientResponse, HttpClient};
-pub use loadgen::{run_load, sweep_to_saturation, LoadConfig, LoadReport};
+pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use server::{HttpServer, HttpStats, Router, ServerConfig, ServerHandle};
 pub use wire::{read_request, write_response, ReadError, Request, Response, Status};

@@ -2,9 +2,7 @@
 //!
 //! Each client thread drives one keep-alive connection as fast as the
 //! server answers — classic closed-loop load, where offered concurrency
-//! (not an open-loop arrival rate) is the independent variable. Sweeping
-//! concurrency upward until throughput stops improving locates the
-//! saturation knee the serving paper's capacity numbers are quoted at.
+//! (not an open-loop arrival rate) is the independent variable.
 
 use crate::client::HttpClient;
 use cosmo_serving::LatencyRecorder;
@@ -48,27 +46,6 @@ pub struct LoadReport {
     pub p50_us: u64,
     /// Client-observed p99 latency (µs).
     pub p99_us: u64,
-}
-
-impl LoadReport {
-    /// JSON object for `BENCH_serve.json` rows.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"concurrency\":{},\"requests\":{},\"ok\":{},\"rejected\":{},\
-             \"other_errors\":{},\"transport_errors\":{},\"elapsed_secs\":{:.3},\
-             \"throughput_rps\":{:.1},\"p50_us\":{},\"p99_us\":{}}}",
-            self.concurrency,
-            self.requests,
-            self.ok,
-            self.rejected,
-            self.other_errors,
-            self.transport_errors,
-            self.elapsed_secs,
-            self.throughput_rps,
-            self.p50_us,
-            self.p99_us
-        )
-    }
 }
 
 /// Run one closed-loop load window against `addr`.
@@ -160,37 +137,4 @@ pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> LoadReport {
         p50_us: latencies.percentile(0.50),
         p99_us: latencies.percentile(0.99),
     }
-}
-
-/// Sweep concurrency upward (doubling) until throughput stops improving
-/// by at least `min_gain` (e.g. `0.05` = 5%), or `max_concurrency` is
-/// reached. Returns every run, in sweep order.
-pub fn sweep_to_saturation(
-    addr: SocketAddr,
-    bodies: Vec<String>,
-    window: Duration,
-    max_concurrency: usize,
-    min_gain: f64,
-) -> Vec<LoadReport> {
-    let mut reports: Vec<LoadReport> = Vec::new();
-    let mut concurrency = 1;
-    while concurrency <= max_concurrency {
-        let report = run_load(
-            addr,
-            &LoadConfig {
-                concurrency,
-                duration: window,
-                bodies: bodies.clone(),
-            },
-        );
-        let saturated = reports
-            .last()
-            .is_some_and(|prev| report.throughput_rps < prev.throughput_rps * (1.0 + min_gain));
-        reports.push(report);
-        if saturated {
-            break;
-        }
-        concurrency *= 2;
-    }
-    reports
 }

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 const REJECT_READ_BUDGET: Duration = Duration::from_millis(100);
 
 /// Server tuning knobs. The defaults favour test determinism over raw
-/// throughput; the load harness overrides them per experiment.
+/// throughput; callers that measure load override them.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.

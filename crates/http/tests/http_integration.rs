@@ -1,8 +1,9 @@
 //! End-to-end tests for the HTTP front end: keep-alive, pipelining,
 //! malformed/oversized input, connection backpressure, byte-identity
-//! with the in-process serving path, and clean shutdown draining.
+//! with the in-process serving path, closed-loop load, hot swaps and
+//! clean shutdown draining.
 
-use cosmo_http::{HttpClient, HttpServer, ServerConfig};
+use cosmo_http::{run_load, HttpClient, HttpServer, LoadConfig, ServerConfig};
 use cosmo_kg::{BehaviorKind, Edge, KnowledgeGraph, NodeKind, Relation};
 use cosmo_lm::{CosmoLm, StudentConfig};
 use cosmo_serving::{
@@ -572,6 +573,51 @@ fn smuggling_vectors_are_refused_and_closed() {
     stream.read_to_string(&mut out).unwrap();
     assert!(out.starts_with("HTTP/1.1 200 "), "got {out:?}");
     handle.shutdown();
+}
+
+/// The workspace's load generator against a live server: closed-loop
+/// clients over preloaded hits and enqueued misses, with a batch cycle
+/// racing to fill the misses, finish with every request answered `200`
+/// and no transport error.
+#[test]
+fn run_load_over_hits_misses_and_batch_cycles_has_no_errors() {
+    let queries = ["sleeping bag", "tent", "air mattress", "camp stove"];
+    let system = test_system(ServingConfig::default(), &queries[..2]);
+    let handle =
+        HttpServer::start(Arc::clone(&system), ServerConfig::default()).expect("bind ephemeral");
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let batch = {
+        let system = Arc::clone(&system);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                system.run_batch_cycle().expect("batch cycle");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        })
+    };
+    let report = run_load(
+        handle.addr(),
+        &LoadConfig {
+            concurrency: 2,
+            duration: Duration::from_millis(200),
+            bodies: queries
+                .iter()
+                .map(|q| ServeRequest::new(*q).to_json())
+                .collect(),
+        },
+    );
+    stop.store(true, Ordering::Relaxed);
+    batch.join().unwrap();
+    handle.shutdown();
+
+    assert!(report.requests > 0, "no request answered: {report:?}");
+    assert_eq!(report.ok, report.requests, "{report:?}");
+    assert_eq!(report.rejected, 0, "{report:?}");
+    assert_eq!(report.other_errors, 0, "{report:?}");
+    assert_eq!(report.transport_errors, 0, "{report:?}");
+    assert!(report.p50_us <= report.p99_us, "{report:?}");
 }
 
 /// The acceptance bar for the hot-swap tentpole: ten snapshot reloads

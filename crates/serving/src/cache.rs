@@ -22,10 +22,9 @@
 use crate::features::StructuredFeatures;
 use cosmo_text::hash::hash_str_ns;
 use cosmo_text::{FxHashMap, FxHashSet};
-use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Hash namespace for shard routing (distinct from the view namespaces).
 const SHARD_NS: u32 = 0x5EED;
@@ -241,14 +240,30 @@ impl CacheStore {
     /// and the admission outcome is reported — the request path never
     /// blocks on model inference.
     pub fn lookup(&self, query: &str) -> CacheLookup {
-        if let Some(f) = self.l1.read().get(query) {
+        if let Some(f) = self
+            .l1
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(query)
+        {
             self.metrics.l1_hits.fetch_add(1, Ordering::Relaxed);
             return CacheLookup::Hit(f.clone(), CacheLayer::L1);
         }
         let shard = self.shard_of(query);
-        if let Some(f) = shard.l2.read().map.get(query) {
+        if let Some(f) = shard
+            .l2
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .get(query)
+        {
             self.metrics.l2_hits.fetch_add(1, Ordering::Relaxed);
-            *shard.hits.lock().entry(query.to_string()).or_insert(0) += 1;
+            *shard
+                .hits
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(query.to_string())
+                .or_insert(0) += 1;
             return CacheLookup::Hit(f.clone(), CacheLayer::L2);
         }
         self.metrics.misses.fetch_add(1, Ordering::Relaxed);
@@ -269,7 +284,7 @@ impl CacheStore {
 
     /// Enqueue a missed query subject to dedupe and admission.
     fn enqueue(&self, shard: &Shard, query: &str) -> EnqueueOutcome {
-        let mut pending = shard.pending.lock();
+        let mut pending = shard.pending.lock().unwrap_or_else(PoisonError::into_inner);
         if pending.members.contains(query) {
             // already queued: N identical misses cost one slot
             return EnqueueOutcome::Duplicate;
@@ -315,7 +330,7 @@ impl CacheStore {
                 if out.len() >= max {
                     break;
                 }
-                let mut pending = shard.pending.lock();
+                let mut pending = shard.pending.lock().unwrap_or_else(PoisonError::into_inner);
                 if let Some(q) = pending.queue.pop_front() {
                     pending.members.remove(&q);
                     self.metrics.note_removed();
@@ -350,7 +365,10 @@ impl CacheStore {
                 continue;
             }
             // PANIC: by_shard was built with exactly shards.len() buckets
-            let mut l2 = self.shards[idx].l2.write();
+            let mut l2 = self.shards[idx]
+                .l2
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             for f in batch {
                 if l2.map.insert(f.query.clone(), f.clone()).is_none() {
                     l2.order.push_back(f.query.clone());
@@ -372,10 +390,18 @@ impl CacheStore {
         // Lock order: every L2 shard (ascending), then every hits map —
         // the read path takes l2-then-hits within one shard, so this
         // global ordering cannot deadlock against it.
-        // LOCK-ORDER: every shard's l2 lock, in ascending shard index.
-        let mut l2_guards: Vec<_> = self.shards.iter().map(|s| s.l2.write()).collect();
-        // LOCK-ORDER: hits after all l2, same ascending index discipline.
-        let mut hits_guards: Vec<_> = self.shards.iter().map(|s| s.hits.lock()).collect();
+        let mut l2_guards: Vec<_> = self
+            .shards
+            .iter()
+            // LOCK-ORDER: every shard's l2 lock, in ascending shard index.
+            .map(|s| s.l2.write().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let mut hits_guards: Vec<_> = self
+            .shards
+            .iter()
+            // LOCK-ORDER: hits after all l2, same ascending index discipline.
+            .map(|s| s.hits.lock().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         let mut scored: Vec<(u64, String, usize)> = Vec::new();
         for (idx, l2) in l2_guards.iter().enumerate() {
             for k in l2.map.keys() {
@@ -389,7 +415,11 @@ impl CacheStore {
         }
         scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
-        let old_l1 = self.l1.read().clone();
+        let old_l1 = self
+            .l1
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let mut new_l1: FxHashMap<String, Arc<StructuredFeatures>> = (*old_l1).clone();
         let mut promoted = 0usize;
         for (_, key, idx) in scored {
@@ -402,7 +432,7 @@ impl CacheStore {
                 }
             }
         }
-        *self.l1.write() = Arc::new(new_l1);
+        *self.l1.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(new_l1);
         for l2 in l2_guards.iter_mut() {
             l2.map.clear();
             l2.order.clear();
@@ -415,20 +445,46 @@ impl CacheStore {
 
     /// Sizes of `(L1, total L2)`.
     pub fn sizes(&self) -> (usize, usize) {
-        let l2: usize = self.shards.iter().map(|s| s.l2.read().map.len()).sum();
-        (self.l1.read().len(), l2)
+        let l2: usize = self
+            .shards
+            .iter()
+            .map(|s| {
+                s.l2.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .map
+                    .len()
+            })
+            .sum();
+        (
+            self.l1.read().unwrap_or_else(PoisonError::into_inner).len(),
+            l2,
+        )
     }
 
     /// Per-shard L2 entry counts (for ops dashboards).
     pub fn l2_shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.l2.read().map.len()).collect()
+        self.shards
+            .iter()
+            .map(|s| {
+                s.l2.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .map
+                    .len()
+            })
+            .collect()
     }
 
     /// Per-shard pending queue depths.
     pub fn pending_shard_sizes(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.pending.lock().queue.len())
+            .map(|s| {
+                s.pending
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .queue
+                    .len()
+            })
             .collect()
     }
 }

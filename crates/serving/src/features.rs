@@ -18,8 +18,7 @@ use cosmo_kg::{GraphView, NodeKind, Relation};
 use cosmo_lm::CosmoLm;
 use cosmo_text::hash::hash_str_ns;
 use cosmo_text::FxHashMap;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Hash namespace for feature-store shard routing.
 const FEATURE_SHARD_NS: u32 = 0x5EEE;
@@ -186,18 +185,26 @@ impl FeatureStore {
         let arc = Arc::new(features);
         self.shard_of(&arc.query)
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(arc.query.clone(), arc.clone());
         arc
     }
 
     /// Look up features.
     pub fn get(&self, query: &str) -> Option<Arc<StructuredFeatures>> {
-        self.shard_of(query).read().get(query).cloned()
+        self.shard_of(query)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(query)
+            .cloned()
     }
 
     /// Number of stored queries (summed across shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     /// True when empty.

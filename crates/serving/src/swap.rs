@@ -27,8 +27,7 @@
 use crate::cache::CacheStore;
 use crate::features::FeatureStore;
 use cosmo_kg::KgSnapshotView;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One immutable generation of serving state: the graph view plus every
 /// cache keyed off it.
@@ -61,13 +60,16 @@ impl SnapshotHandle {
     /// entirely from the returned `Arc` so a concurrent swap cannot tear
     /// the answer.
     pub fn load(&self) -> Arc<SnapshotGeneration> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Atomically publish `next`, returning the generation it replaced.
     /// The old generation stays alive until its last reader drops it.
     pub fn publish(&self, next: SnapshotGeneration) -> Arc<SnapshotGeneration> {
-        std::mem::replace(&mut *self.current.write(), Arc::new(next))
+        std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(PoisonError::into_inner),
+            Arc::new(next),
+        )
     }
 }
 

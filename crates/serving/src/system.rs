@@ -39,9 +39,8 @@ use crate::swap::{SnapshotGeneration, SnapshotHandle};
 use cosmo_exec::{ChunkResult, WorkerPool};
 use cosmo_kg::KgSnapshotView;
 use cosmo_lm::CosmoLm;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Serving configuration: worker pool, batching, cache sizing, and
@@ -249,7 +248,10 @@ impl ServingSystem {
     /// pointer store; requests in flight finish on the generation they
     /// started on. Returns the new generation number.
     pub fn swap_snapshot(&self, view: KgSnapshotView) -> u64 {
-        let _serialised = self.swap_lock.lock();
+        let _serialised = self
+            .swap_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let next = self.handle.load().generation + 1;
         let generation =
             Self::build_generation(next, Arc::new(view), &self.preload, &self.cfg, &self.lm);
@@ -448,12 +450,13 @@ impl ServingSystem {
     pub fn record_feedback(&self, query: &str, product: &str) {
         self.feedback
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .push((query.to_string(), product.to_string()));
     }
 
     /// Drain accumulated feedback (consumed by the next offline run).
     pub fn drain_feedback(&self) -> Vec<(String, String)> {
-        std::mem::take(&mut self.feedback.lock())
+        std::mem::take(&mut self.feedback.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 

@@ -5,13 +5,14 @@
 #
 # Runs the release build, the whole workspace's test suite (the root
 # manifest's `default-members` make plain `cargo test` cover every crate),
-# the audit ratchet, clippy with warnings denied, the formatting check and
-# the snapshot, serve, swap and kg-scaling smokes. Smoke runs write their
-# BENCH_*.json under the gitignored artifacts/, so the gate leaves the
-# working tree clean; inside a git work tree it fails if `git status
-# --porcelain` after the last check differs from the status recorded
-# right after the builds. Requires network access (or a warm cargo cache) for
-# the first build.
+# the audit ratchet, clippy with warnings denied, the formatting check,
+# the snapshot check and the kg-scaling smoke. HTTP load and hot swaps
+# under load are covered by cosmo-http's integration tests. Smoke runs
+# write their BENCH_*.json under the gitignored artifacts/, so the gate
+# leaves the working tree clean; inside a git work tree it fails if `git
+# status --porcelain` after the last check differs from the status
+# recorded right after the builds. Requires network access (or a warm
+# cargo cache) for the first build.
 #
 # Slow opt-in tests (full repro experiments, scaling sweeps) are marked
 # `#[ignore]` and stay out of this gate; run them explicitly with
@@ -47,14 +48,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # snapshot-format compatibility: freeze, stream, open, verify, refuse corruption
 cargo run --release --example snapshot_check
-# HTTP front end smoke: real sockets, closed-loop load for a fraction of
-# a second; asserts nonzero throughput and zero 5xx (full saturation
-# sweep is opt-in: `repro -- serve` without --smoke)
-cargo run --release -p cosmo-bench --bin repro -- serve --smoke --scale tiny
-# hot-swap smoke: three snapshot reloads under live traffic; asserts
-# zero 5xx and byte-identical bodies within each snapshot generation
-# (full mode is `repro -- serve --swap` without --smoke)
-cargo run --release -p cosmo-bench --bin repro -- serve --swap --smoke --scale tiny
 # streaming-writer smoke: sharded generation stream-frozen with forced
 # spills, asserted byte-identical to the in-memory store freeze (the
 # 6.3M-node/29M-edge world is opt-in: `repro -- kg-scaling --paper`)
