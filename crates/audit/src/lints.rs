@@ -215,8 +215,11 @@ pub(crate) fn crate_dir(rel: &str) -> &str {
 /// `line` is justified by `marker` (e.g. `"DETERMINISM:"`) when the
 /// marker appears in that line's trailing comment, or above it — the
 /// upward walk crosses comment-only lines (multi-line prose) and
-/// attribute lines, and stops at the first code line, whose trailing
-/// comment still counts.
+/// attribute lines, and at each code line checks its trailing comment.
+/// It stops at the first code line that closes a statement (see
+/// [`leaves_statement_open`]); a line that leaves one open is the start of
+/// the statement the line below continues, so a marker above the first
+/// line of a rustfmt-wrapped statement covers all of its lines.
 pub fn comment_justifies(lines: &[MaskedLine], line: usize, marker: &str) -> bool {
     if line == 0 || line > lines.len() {
         return false;
@@ -232,12 +235,20 @@ pub fn comment_justifies(lines: &[MaskedLine], line: usize, marker: &str) -> boo
         if l.comment.contains(marker) {
             return true;
         }
-        if l.is_comment_only() || l.is_attribute() {
+        if l.is_comment_only() || l.is_attribute() || leaves_statement_open(&l.code) {
             continue;
         }
         return false;
     }
     false
+}
+
+/// True when a code line leaves its statement open, so the next code line
+/// continues it: the line is not blank and does not end in `;`, `{`, `}`
+/// or `,` (a block opener, a block or item end, or a list/arm separator).
+fn leaves_statement_open(code: &str) -> bool {
+    let t = code.trim_end();
+    !t.is_empty() && !t.ends_with([';', '{', '}', ','])
 }
 
 /// Whether the `unsafe` on 0-based line `idx` is covered by a
@@ -558,6 +569,28 @@ mod tests {
         // the quoted name without a cfg marker on the line is not a gate
         let plain = "let name = \"fast-math\";\n";
         assert!(audit_source(&p(), "crates/lm/src/student.rs", plain).is_empty());
+    }
+
+    #[test]
+    fn marker_above_wrapped_statement_covers_its_continuation_lines() {
+        let src = "fn f(m: &Map) -> usize {\n\
+                       // PANIC: every key is inserted by the constructor\n\
+                       let n = m\n\
+                           .get(\"k\")\n\
+                           .unwrap();\n\
+                       let v = m\n\
+                           .get(\"j\")\n\
+                           .unwrap();\n\
+                       n + v\n\
+                   }\n";
+        let lines = mask_source(src);
+        for line in 3..=5 {
+            assert!(comment_justifies(&lines, line, "PANIC:"), "line {line}");
+        }
+        // the next statement starts after a `;` and is not covered
+        for line in 6..=8 {
+            assert!(!comment_justifies(&lines, line, "PANIC:"), "line {line}");
+        }
     }
 
     #[test]

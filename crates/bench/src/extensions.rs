@@ -999,10 +999,10 @@ pub fn nn_scaling(ctx: &Ctx) -> String {
     }
     json.push_str("  ],\n  \"student_predict\": [\n");
 
-    // Batched student inference vs the per-item pooled-tape path — the same
-    // trained student every other experiment serves, probed with synthetic
-    // relevance prompts. The two paths are bitwise identical (locked by
-    // tests in cosmo-lm); only throughput differs.
+    // Batched student inference vs a loop of per-item calls (each a
+    // one-row batch) — the same trained student every other experiment
+    // serves, probed with synthetic relevance prompts. The two are bitwise
+    // identical (locked by tests in cosmo-lm); only throughput differs.
     let lm = &*ctx.student;
     let prompts: Vec<String> = (0..256)
         .map(|i| {

@@ -21,7 +21,7 @@
 
 use crate::instruction::{Instruction, TaskType};
 use cosmo_kg::Relation;
-use cosmo_nn::infer::{self, InferScratch, ScratchPool, TapePool};
+use cosmo_nn::infer::{self, InferScratch, ScratchPool};
 use cosmo_nn::layers::{Embedding, Linear};
 use cosmo_nn::opt::Adam;
 use cosmo_nn::{ParamStore, Tape};
@@ -89,11 +89,7 @@ pub struct CosmoLm {
     tail_rel: Vec<Option<Relation>>,
     tail_index: FxHashMap<String, usize>,
     cfg: StudentConfig,
-    /// Recycled tapes for the per-item inference entry points — kills the
-    /// `Tape::new` allocation per call while keeping the exact tape
-    /// formulation (pooled-tape results are bitwise identical to fresh).
-    tape_pool: TapePool,
-    /// Recycled scratches for the tape-free batched entry points.
+    /// Recycled scratches for the tape-free inference forwards.
     scratch_pool: ScratchPool,
 }
 
@@ -142,7 +138,6 @@ impl CosmoLm {
             tail_rel,
             tail_index,
             cfg,
-            tape_pool: TapePool::new(),
             scratch_pool: ScratchPool::new(),
         }
     }
@@ -250,10 +245,6 @@ impl CosmoLm {
         report
     }
 
-    fn encode_batch(&self, tape: &mut Tape, inputs: &[&str]) -> cosmo_nn::Var {
-        encode_inputs(tape, &self.store, &self.enc, self.cfg.buckets, inputs)
-    }
-
     /// One generation step over the whole batch; returns its mean loss.
     fn gen_step(&mut self, batch: &[&Instruction], opt: &mut Adam, tape: &mut Tape) -> f32 {
         let buckets = self.cfg.buckets;
@@ -302,26 +293,21 @@ impl CosmoLm {
     }
 
     /// Generate the top-`k` tails for an input, optionally constrained to
-    /// tails compatible with `relation`.
+    /// tails compatible with `relation`: a one-row
+    /// [`CosmoLm::generate_batch`].
     pub fn generate(
         &self,
         input: &str,
         relation: Option<Relation>,
         k: usize,
     ) -> Vec<(String, f32)> {
-        let mut tape = self.tape_pool.take();
-        let enc = self.encode_batch(&mut tape, &[input]);
-        let tails = self.tail_emb.table(&mut tape, &self.store);
-        let logits = tape.matmul_nt(enc, tails);
-        let row = tape.value(logits).row_slice(0);
-        let out = self.rank_tail_row(row, relation, k);
-        self.tape_pool.put(tape);
-        out
+        self.generate_batch(&[input], relation, k)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// Rank one `[1×tails]` logit row against the (optional) relation
-    /// constraint: shared by [`CosmoLm::generate`] and
-    /// [`CosmoLm::generate_batch`] so the two paths cannot drift.
+    /// constraint.
     fn rank_tail_row(
         &self,
         row: &[f32],
@@ -345,12 +331,12 @@ impl CosmoLm {
             .collect()
     }
 
-    /// Batched [`CosmoLm::generate`]: one embedding-bag encode and one
+    /// Top-`k` tails for each input: one embedding-bag encode and one
     /// `[batch×dim]·[tails×dim]ᵀ` matmul over the whole batch, through
     /// reused tape-free scratch buffers. Per-element reduction chains are
     /// a pure function of the inner dimension, so every output row — and
-    /// therefore every ranking — is bitwise identical to the per-item
-    /// `generate` loop, in both feature configurations.
+    /// therefore every ranking — is the same at any batch size, in both
+    /// feature configurations.
     pub fn generate_batch(
         &self,
         inputs: &[&str],
@@ -375,25 +361,19 @@ impl CosmoLm {
         out
     }
 
-    /// Probability output of a prediction head. Runs on a pooled tape, so
-    /// steady-state calls allocate nothing; outputs are bitwise identical
-    /// to the historical fresh-tape-per-call formulation.
+    /// Probability output of a prediction head: a one-row
+    /// [`CosmoLm::predict_batch`].
     pub fn predict(&self, task: TaskType, input: &str) -> f32 {
-        let slot = head_slot(task).expect("predict() needs a prediction task");
-        let mut tape = self.tape_pool.take();
-        let enc = self.encode_batch(&mut tape, &[input]);
-        let logit = self.heads[slot].forward(&mut tape, &self.store, enc);
-        let p = 1.0 / (1.0 + (-tape.value(logit).item()).exp());
-        self.tape_pool.put(tape);
-        p
+        self.predict_batch(task, &[input]).pop().unwrap_or_default()
     }
 
-    /// Batched [`CosmoLm::predict`]: encodes the whole batch into one
-    /// `[batch×dim]` tensor and runs one head matmul, tape-free, through
-    /// reused scratch buffers. Bitwise identical to calling `predict` per
-    /// item, in both feature configurations — locked by a proptest.
+    /// Prediction-head probabilities for each input: encodes the whole
+    /// batch into one `[batch×dim]` tensor and runs one head matmul,
+    /// tape-free, through reused scratch buffers. Each row is the same at
+    /// any batch size, in both feature configurations — locked by a
+    /// proptest.
     pub fn predict_batch(&self, task: TaskType, inputs: &[&str]) -> Vec<f32> {
-        let slot = head_slot(task).expect("predict_batch() needs a prediction task");
+        let slot = head_slot(task).expect("predict needs a prediction task");
         if inputs.is_empty() {
             return Vec::new();
         }
@@ -413,17 +393,14 @@ impl CosmoLm {
 
     /// Dense embedding of arbitrary text under the student's encoder —
     /// "we leverage the same LM to vectorize generated knowledge" (§4.2.3,
-    /// COSMO-GNN's knowledge embeddings).
+    /// COSMO-GNN's knowledge embeddings). A one-row
+    /// [`CosmoLm::embed_batch`].
     pub fn embed_text(&self, text: &str) -> Vec<f32> {
-        let mut tape = self.tape_pool.take();
-        let enc = self.encode_batch(&mut tape, &[text]);
-        let out = tape.value(enc).row_slice(0).to_vec();
-        self.tape_pool.put(tape);
-        out
+        self.embed_batch(&[text]).pop().unwrap_or_default()
     }
 
-    /// Batched [`CosmoLm::embed_text`]: one embedding-bag encode for the
-    /// whole batch; each row carries the exact bits of the per-item call.
+    /// Dense embeddings for each text: one embedding-bag encode for the
+    /// whole batch; each row is the same at any batch size.
     pub fn embed_batch(&self, texts: &[&str]) -> Vec<Vec<f32>> {
         if texts.is_empty() {
             return Vec::new();
@@ -439,7 +416,8 @@ impl CosmoLm {
 
     /// Stage hashed features for `inputs` in `scratch` and mean-pool them
     /// into `scratch.pooled` (`[batch×dim]`), reading the encoder table in
-    /// place. Mirrors [`encode_inputs`] bit-for-bit without the tape.
+    /// place. Mirrors the training encoder [`encode_inputs`] bit-for-bit
+    /// without the tape.
     fn encode_into(&self, scratch: &mut InferScratch, inputs: &[&str]) {
         scratch.clear_ids();
         for (seg, input) in inputs.iter().enumerate() {
@@ -640,10 +618,10 @@ mod tests {
     }
 
     /// Repeated per-item calls must be bitwise stable: the second call runs
-    /// on the pooled (reset) tape rather than a fresh one, and any drift
-    /// would mean tape reuse leaks state into results.
+    /// on a recycled scratch rather than a fresh one, and any drift would
+    /// mean scratch reuse leaks state into results.
     #[test]
-    fn pooled_tape_inference_is_bitwise_stable_across_calls() {
+    fn scratch_reuse_inference_is_bitwise_stable_across_calls() {
         let lm = trained_student();
         let input = "user searched camping item fresh";
         let first = (
@@ -658,8 +636,59 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn ranked_bits(ranked: &[(String, f32)]) -> Vec<(&str, u32)> {
+        ranked
+            .iter()
+            .map(|(t, s)| (t.as_str(), s.to_bits()))
+            .collect()
+    }
+
+    /// The per-item entry points (one-row batches through the tape-free
+    /// forward) against the training tape's forward, bit for bit: every
+    /// generation ranking with and without a relation constraint, all four
+    /// prediction heads, and the text embedding, including the empty input.
     #[test]
-    fn generate_batch_matches_per_item_generate_bitwise() {
+    fn per_item_inference_matches_tape_forward_bitwise() {
+        let lm = trained_student();
+        let heads = [
+            TaskType::Plausibility,
+            TaskType::Typicality,
+            TaskType::CopurchasePrediction,
+            TaskType::RelevancePrediction,
+        ];
+        let k = lm.num_tails();
+        for input in ["user searched camping item fresh", "kitchen gadget", ""] {
+            let mut tape = Tape::new();
+            let enc = encode_inputs(&mut tape, &lm.store, &lm.enc, lm.cfg.buckets, &[input]);
+            let tails = lm.tail_emb.table(&mut tape, &lm.store);
+            let logits = tape.matmul_nt(enc, tails);
+            for relation in [None, Some(Relation::UsedForFunc)] {
+                let want = lm.rank_tail_row(tape.value(logits).row_slice(0), relation, k);
+                let got = lm.generate(input, relation, k);
+                assert_eq!(
+                    ranked_bits(&got),
+                    ranked_bits(&want),
+                    "{input:?} {relation:?}"
+                );
+            }
+            for task in heads {
+                let slot = head_slot(task).unwrap();
+                let logit = lm.heads[slot].forward(&mut tape, &lm.store, enc);
+                let want = 1.0 / (1.0 + (-tape.value(logit).item()).exp());
+                let got = lm.predict(task, input);
+                assert_eq!(got.to_bits(), want.to_bits(), "{input:?} {task:?}");
+            }
+            let want = tape.value(enc).row_slice(0);
+            assert_eq!(bits(&lm.embed_text(input)), bits(want), "{input:?}");
+        }
+    }
+
+    #[test]
+    fn generate_batch_is_batch_size_invariant_bitwise() {
         let lm = trained_student();
         let inputs = [
             "user searched camping item fresh",
@@ -670,29 +699,30 @@ mod tests {
         for relation in [None, Some(Relation::UsedForFunc)] {
             let batched = lm.generate_batch(&inputs, relation, 3);
             for (input, rows) in inputs.iter().zip(batched.iter()) {
-                assert_eq!(rows, &lm.generate(input, relation, 3), "input {input:?}");
+                let single = lm.generate(input, relation, 3);
+                assert_eq!(ranked_bits(rows), ranked_bits(&single), "input {input:?}");
             }
         }
     }
 
     #[test]
-    fn embed_batch_matches_per_item_embed_bitwise() {
+    fn embed_batch_is_batch_size_invariant_bitwise() {
         let lm = trained_student();
         let texts = ["winter camping gear", "", "potato peeler", "dog leash"];
         let batched = lm.embed_batch(&texts);
         for (text, row) in texts.iter().zip(batched.iter()) {
-            assert_eq!(row, &lm.embed_text(text), "text {text:?}");
+            assert_eq!(bits(row), bits(&lm.embed_text(text)), "text {text:?}");
         }
         assert!(lm.predict_batch(TaskType::Typicality, &[]).is_empty());
         assert!(lm.embed_batch(&[]).is_empty());
     }
 
     proptest::proptest! {
-        /// The batched fast path must be *bitwise* equal to the per-item
-        /// predict loop for arbitrary input text, at any batch size — this
-        /// is the contract that lets serving swap one for the other freely.
+        /// Each batch row must be *bitwise* equal to its one-row call for
+        /// arbitrary input text, at any batch size — the contract that
+        /// lets serving batch queries freely.
         #[test]
-        fn predict_batch_matches_per_item_predict_bitwise(
+        fn predict_batch_is_batch_size_invariant_bitwise(
             inputs in proptest::collection::vec("[ a-z0-9]{0,40}", 1..12),
             slot in 0usize..4,
         ) {

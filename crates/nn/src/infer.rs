@@ -5,7 +5,9 @@
 //! records an op per node. Inference needs neither: this module provides the
 //! same forward computations reading parameters *in place* from the
 //! [`crate::ParamStore`], writing into caller-owned scratch tensors, with zero
-//! autodiff bookkeeping and zero steady-state allocation.
+//! autodiff bookkeeping and zero steady-state allocation. It is the only
+//! inference forward: a per-item call is a one-row batch through these
+//! functions, and the tape formulation survives as the test reference.
 //!
 //! Every function here is bitwise identical to the tape formulation it
 //! replaces, in both feature configurations: the per-element reduction
@@ -13,7 +15,6 @@
 //! means visit rows in the same order, and broadcasts apply in the same
 //! row-major order as the tape ops. Tests at the bottom lock this.
 
-use crate::tape::Tape;
 use crate::tensor::Tensor;
 use std::sync::{Mutex, PoisonError};
 
@@ -72,9 +73,9 @@ impl InferScratch {
 /// never materialising the gathered rows: row `r` of the gather *is*
 /// `table[ids[r]]`, so its value is summed straight into segment
 /// `segments[r]` in increasing `r` order — the exact order
-/// [`Tape::segment_mean`] uses. Empty segments stay zero rows, and (as on
-/// the tape) a segment's sum is only rescaled when it holds ≥ 2 rows, so
-/// single-id bags keep the table row's exact bits.
+/// [`crate::tape::Tape::segment_mean`] uses. Empty segments stay zero
+/// rows, and (as on the tape) a segment's sum is only rescaled when it
+/// holds ≥ 2 rows, so single-id bags keep the table row's exact bits.
 pub fn embed_bag_into(
     table: &Tensor,
     ids: &[usize],
@@ -162,47 +163,13 @@ impl ScratchPool {
     }
 }
 
-/// A lock-protected free list of reset [`Tape`]s, for inference paths that
-/// keep the tape formulation but must not pay a `Tape::new` allocation per
-/// call. Tapes are [`Tape::reset`] on `put`, which recycles their buffers;
-/// results computed on a pooled tape are bitwise identical to a fresh one
-/// (locked by the tape's own reset test).
-#[derive(Default)]
-pub struct TapePool {
-    free: Mutex<Vec<Tape>>,
-}
-
-impl TapePool {
-    /// Empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pop a reset tape, or build a fresh one if the pool is dry.
-    pub fn take(&self) -> Tape {
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Reset and park a tape for reuse.
-    pub fn put(&self, mut tape: Tape) {
-        tape.reset();
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(tape);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init;
     use crate::layers::{Embedding, Linear};
     use crate::params::ParamStore;
+    use crate::tape::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -304,12 +271,5 @@ mod tests {
             pool.take().ids.capacity() >= cap,
             "scratch was not recycled"
         );
-
-        let tapes = TapePool::new();
-        let mut t = tapes.take();
-        let _ = t.input(Tensor::zeros(4, 4));
-        tapes.put(t);
-        let t = tapes.take();
-        assert!(t.pooled_buffers() > 0, "tape buffers were not recycled");
     }
 }

@@ -155,16 +155,8 @@ impl Tensor {
     /// [`Tensor::matmul_fma_reference`] across every ISA dispatch path and
     /// thread count (see the module docs of [`kernels`]).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols,
-            other.rows,
-            "matmul shape mismatch: {:?} x {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(n, m);
-        kernels::mm_band(&self.data, &other.data, &mut out.data, k, m);
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        self.matmul_into(other, &mut out);
         out
     }
 
@@ -291,25 +283,8 @@ impl Tensor {
     /// order, so the result is bitwise identical to
     /// `self.matmul(&other.transpose())`.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols,
-            other.cols,
-            "matmul_nt shape mismatch: {:?} x {:?}ᵀ",
-            self.shape(),
-            other.shape()
-        );
-        let (n, k, m) = (self.rows, self.cols, other.rows);
-        if n >= 2 && k >= 2 {
-            return self.matmul(&other.transpose());
-        }
-        let mut out = Tensor::zeros(n, m);
-        for i in 0..n {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..m {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                out.data[i * m + j] = kernels::nt_dot(a_row, b_row);
-            }
-        }
+        let mut out = Tensor::zeros(self.rows, other.rows);
+        self.matmul_nt_into(other, &mut out, &mut Vec::new());
         out
     }
 
@@ -319,16 +294,8 @@ impl Tensor {
     /// element is strictly increasing-`k`, bitwise identical to
     /// `self.transpose().matmul(&other)` (and IEEE-faithful: no zero skip).
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows,
-            other.rows,
-            "matmul_tn shape mismatch: {:?}ᵀ x {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let (k, n, m) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(n, m);
-        kernels::mm_tn_band(&self.data, &other.data, &mut out.data, k, n, m, 0);
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        self.matmul_tn_into(other, &mut out);
         out
     }
 
@@ -350,7 +317,7 @@ impl Tensor {
 
     /// [`Tensor::matmul`] into a caller-provided output tensor (shape
     /// `[n×m]`), overwriting it. Lets buffer pools avoid an allocation;
-    /// the result is identical to the allocating variant.
+    /// the allocating variant is this call on a fresh zeroed tensor.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,

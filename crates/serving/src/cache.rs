@@ -205,11 +205,12 @@ pub struct CacheStore {
 }
 
 impl CacheStore {
-    /// Create with a pre-loaded L1 layer (the "yearly frequent searches").
-    pub fn new(preloaded: Vec<StructuredFeatures>, cfg: CacheConfig) -> Self {
+    /// Create with a pre-loaded L1 layer (the "yearly frequent searches"),
+    /// sharing the callers' `Arc`s rather than copying the features.
+    pub fn new(preloaded: Vec<Arc<StructuredFeatures>>, cfg: CacheConfig) -> Self {
         let l1: FxHashMap<String, Arc<StructuredFeatures>> = preloaded
             .into_iter()
-            .map(|f| (f.query.clone(), Arc::new(f)))
+            .map(|f| (f.query.clone(), f))
             .collect();
         let shards = cfg.shards.max(1);
         CacheStore {
@@ -493,13 +494,13 @@ impl CacheStore {
 mod tests {
     use super::*;
 
-    fn feat(q: &str) -> StructuredFeatures {
-        StructuredFeatures {
+    fn feat(q: &str) -> Arc<StructuredFeatures> {
+        Arc::new(StructuredFeatures {
             query: q.to_string(),
             intents: vec![],
             subcategory: vec![0.0; 4],
             strong_intent: None,
-        }
+        })
     }
 
     fn single_shard(l1_capacity: usize) -> CacheConfig {
@@ -527,7 +528,7 @@ mod tests {
         let drained = cache.drain_pending(10);
         assert_eq!(drained, vec!["new query"]);
         assert_eq!(cache.pending_len(), 0);
-        cache.install(vec![Arc::new(feat("new query"))]);
+        cache.install(vec![feat("new query")]);
         let (_, layer) = cache.get("new query").unwrap();
         assert_eq!(layer, CacheLayer::L2);
     }
@@ -636,7 +637,7 @@ mod tests {
     #[test]
     fn daily_refresh_promotes_hot_entries() {
         let cache = CacheStore::new(vec![feat("old")], single_shard(3));
-        cache.install(vec![Arc::new(feat("hot")), Arc::new(feat("cold"))]);
+        cache.install(vec![feat("hot"), feat("cold")]);
         // touch "hot" several times
         for _ in 0..4 {
             let _ = cache.get("hot");
@@ -653,7 +654,7 @@ mod tests {
     #[test]
     fn refresh_respects_l1_capacity() {
         let cache = CacheStore::new(vec![feat("a")], single_shard(2));
-        cache.install(vec![Arc::new(feat("b")), Arc::new(feat("c"))]);
+        cache.install(vec![feat("b"), feat("c")]);
         for _ in 0..3 {
             let _ = cache.get("b");
         }
@@ -672,17 +673,13 @@ mod tests {
             ..CacheConfig::default()
         };
         let cache = CacheStore::new(vec![], cfg);
-        cache.install(vec![
-            Arc::new(feat("a")),
-            Arc::new(feat("b")),
-            Arc::new(feat("c")),
-        ]);
+        cache.install(vec![feat("a"), feat("b"), feat("c")]);
         assert_eq!(cache.sizes().1, 2);
         assert!(cache.get("a").is_none(), "oldest entry evicted");
         assert!(cache.get("b").is_some());
         assert!(cache.get("c").is_some());
         // reinstalling an existing key does not double-count the order
-        cache.install(vec![Arc::new(feat("c")), Arc::new(feat("d"))]);
+        cache.install(vec![feat("c"), feat("d")]);
         assert_eq!(cache.sizes().1, 2);
         assert!(cache.get("d").is_some());
     }
@@ -696,7 +693,7 @@ mod tests {
         };
         let cache = CacheStore::new(vec![], cfg);
         let keys: Vec<String> = (0..6).map(|i| format!("q{i}")).collect();
-        cache.install(keys.iter().map(|k| Arc::new(feat(k))).collect());
+        cache.install(keys.iter().map(|k| feat(k)).collect());
         assert_eq!(cache.sizes().1, 6);
         assert_eq!(cache.l2_shard_sizes().iter().sum::<usize>(), 6);
         for k in &keys {

@@ -27,7 +27,7 @@ const FEATURE_SHARD_NS: u32 = 0x5EEE;
 const DEFAULT_SHARDS: usize = 8;
 
 /// Structured features derived from a model response for one query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StructuredFeatures {
     /// The query these features describe.
     pub query: String,
@@ -43,33 +43,27 @@ pub struct StructuredFeatures {
 /// detection.
 const STRONG_INTENT_MARGIN: f32 = 0.3;
 
-/// Compute structured features for a query: KG intents when the query node
-/// exists (cheap lookup), falling back to COSMO-LM generation, plus the
-/// student embedding as the subcategory representation.
+/// Structured features for one query: a one-query
+/// [`compute_features_batch`].
+pub fn compute_features<G: GraphView>(query: &str, kg: &G, lm: &CosmoLm) -> StructuredFeatures {
+    compute_features_batch(&[query], kg, lm)
+        .pop()
+        .unwrap_or_default()
+}
+
+/// Compute structured features for each query: KG intents when the query
+/// node exists (cheap per-query snapshot reads), falling back to COSMO-LM
+/// generation, plus the student embedding as the subcategory
+/// representation. Every cold query's generation goes through one
+/// [`CosmoLm::generate_batch`] call and every subcategory embedding
+/// through one [`CosmoLm::embed_batch`] call — one matmul per stage for
+/// the whole slice. The student's rows are the same at any batch size, so
+/// each query's features do not depend on the slice it arrives in.
 ///
 /// Generic over the graph backend: the mutable [`cosmo_kg::KnowledgeGraph`]
 /// and the frozen [`cosmo_kg::KgSnapshotView`] produce bitwise-identical
 /// features (both enumerate adjacency in the same content-determined
 /// order); production serving uses the snapshot.
-pub fn compute_features<G: GraphView>(query: &str, kg: &G, lm: &CosmoLm) -> StructuredFeatures {
-    let mut intents = kg_intents(query, kg);
-    if intents.is_empty() {
-        // cold query: ask the student model directly
-        for (tail, score) in lm.generate(&cold_prompt(query), None, 5) {
-            intents.push((Relation::UsedForFunc, tail, score));
-        }
-        squash_cold_scores(&mut intents);
-    }
-    assemble_features(query, intents, lm.embed_text(query))
-}
-
-/// Batched [`compute_features`]: KG lookups stay per query (cheap snapshot
-/// reads), but every cold query's generation goes through one
-/// [`CosmoLm::generate_batch`] call and every subcategory embedding
-/// through one [`CosmoLm::embed_batch`] call — one matmul per stage for
-/// the whole slice instead of two per query. Output is bitwise identical
-/// to calling `compute_features` per query (the student's batched paths
-/// are bitwise equal to its per-item paths), locked by a test.
 pub fn compute_features_batch<G: GraphView>(
     queries: &[&str],
     kg: &G,
@@ -83,16 +77,14 @@ pub fn compute_features_batch<G: GraphView>(
         .filter(|(_, i)| i.is_empty())
         .map(|(i, _)| i)
         .collect();
-    if !cold.is_empty() {
-        // PANIC: cold holds enumerate() indices over these same slices
-        let prompts: Vec<String> = cold.iter().map(|&i| cold_prompt(queries[i])).collect();
-        let prompt_refs: Vec<&str> = prompts.iter().map(String::as_str).collect();
-        for (&i, generated) in cold.iter().zip(lm.generate_batch(&prompt_refs, None, 5)) {
-            for (tail, score) in generated {
-                intents[i].push((Relation::UsedForFunc, tail, score)); // PANIC: i < len
-            }
-            squash_cold_scores(&mut intents[i]); // PANIC: i < len, as above
+    // PANIC: cold holds enumerate() indices over these same slices
+    let prompts: Vec<String> = cold.iter().map(|&i| cold_prompt(queries[i])).collect();
+    let prompt_refs: Vec<&str> = prompts.iter().map(String::as_str).collect();
+    for (&i, generated) in cold.iter().zip(lm.generate_batch(&prompt_refs, None, 5)) {
+        for (tail, score) in generated {
+            intents[i].push((Relation::UsedForFunc, tail, score)); // PANIC: i < len
         }
+        squash_cold_scores(&mut intents[i]); // PANIC: i < len, as above
     }
     let embeds = lm.embed_batch(queries);
     queries
@@ -103,7 +95,7 @@ pub fn compute_features_batch<G: GraphView>(
         .collect()
 }
 
-/// KG intent lookup shared by the per-query and batched paths.
+/// The query node's top KG intents; empty when the query is cold.
 fn kg_intents<G: GraphView>(query: &str, kg: &G) -> Vec<(Relation, String, f32)> {
     let mut intents = Vec::new();
     if let Some(node) = kg.find_node(NodeKind::Query, query) {
@@ -128,7 +120,7 @@ fn squash_cold_scores(intents: &mut [(Relation, String, f32)]) {
     }
 }
 
-/// Strong-intent detection + struct assembly shared by both paths.
+/// Strong-intent detection + struct assembly.
 fn assemble_features(
     query: &str,
     intents: Vec<(Relation, String, f32)>,

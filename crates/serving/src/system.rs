@@ -269,11 +269,11 @@ impl ServingSystem {
         lm: &Arc<CosmoLm>,
     ) -> SnapshotGeneration {
         let preload_refs: Vec<&str> = preload.iter().map(String::as_str).collect();
-        let preloaded: Vec<StructuredFeatures> = compute_features_batch(&preload_refs, &*view, lm);
         let features = FeatureStore::with_shards(cfg.shards);
-        for f in &preloaded {
-            features.put(f.clone());
-        }
+        let preloaded = compute_features_batch(&preload_refs, &*view, lm)
+            .into_iter()
+            .map(|f| features.put(f))
+            .collect();
         let cache = CacheStore::new(preloaded, cfg.cache_config());
         SnapshotGeneration {
             generation,
@@ -464,7 +464,8 @@ impl ServingSystem {
 mod tests {
     use super::*;
     use crate::cache::CacheLayer;
-    use cosmo_kg::{KnowledgeGraph, Relation};
+    use crate::features::compute_features;
+    use cosmo_kg::{BehaviorKind, Edge, KnowledgeGraph, NodeKind, Relation};
     use cosmo_lm::StudentConfig;
 
     fn parts() -> (KgSnapshotView, Arc<CosmoLm>) {
@@ -500,8 +501,10 @@ mod tests {
     fn preloaded_queries_hit_l1() {
         let sys = system(&["camping"]);
         let r = serve(&sys, "camping");
-        assert!(r.features.is_some());
         assert_eq!(r.response.layer, Some(CacheLayer::L1));
+        // L1 and the feature store share one copy of the preloaded features
+        let stored = sys.current().features.get("camping").unwrap();
+        assert!(Arc::ptr_eq(&r.features.unwrap(), &stored));
     }
 
     #[test]
@@ -524,6 +527,79 @@ mod tests {
         }
         assert_eq!(sys.run_batch_cycle().unwrap(), 20);
         assert_eq!(sys.run_batch_cycle().unwrap(), 0, "queue drained");
+    }
+
+    fn feature_bits(f: &StructuredFeatures) -> impl PartialEq + std::fmt::Debug + '_ {
+        let intents: Vec<_> = f
+            .intents
+            .iter()
+            .map(|(r, t, s)| (*r, t, s.to_bits()))
+            .collect();
+        let subcategory: Vec<u32> = f.subcategory.iter().map(|x| x.to_bits()).collect();
+        (&f.query, intents, subcategory, &f.strong_intent)
+    }
+
+    /// Every entry a batch cycle installs is bitwise equal to a one-query
+    /// `compute_features` for its query, for KG-hit, cold and empty
+    /// queries, with one worker chunk and with several.
+    #[test]
+    fn batch_cycle_fills_match_compute_features_bitwise() {
+        let (_, lm) = parts();
+        let mut kg = KnowledgeGraph::new();
+        for (query, tails) in [
+            ("camping", ["sleeping outdoors", "lakeside trips"]),
+            ("winter coat", ["keeping warm", "snow days"]),
+        ] {
+            let q = kg.intern_node(NodeKind::Query, query);
+            for (i, tail) in tails.into_iter().enumerate() {
+                let t = kg.intern_node(NodeKind::Intention, tail);
+                kg.add_edge(Edge {
+                    head: q,
+                    relation: Relation::UsedForEve,
+                    tail: t,
+                    behavior: BehaviorKind::SearchBuy,
+                    category: 1,
+                    plausibility: 0.9,
+                    typicality: 0.9 - 0.4 * i as f32,
+                    support: 3,
+                });
+            }
+        }
+        let queries = [
+            "camping",
+            "brand new query",
+            "",
+            "winter coat",
+            "another cold one",
+            "hiking boots",
+            "kitchen gadget",
+        ];
+        for workers in [1, 4] {
+            let sys = ServingSystem::builder()
+                .view(kg.freeze())
+                .lm(lm.clone())
+                .config(ServingConfig {
+                    workers,
+                    ..ServingConfig::default()
+                })
+                .build()
+                .unwrap();
+            for q in queries {
+                assert!(serve(&sys, q).features.is_none(), "{q:?} must miss");
+            }
+            assert_eq!(sys.run_batch_cycle().unwrap(), queries.len());
+            let generation = sys.current();
+            for q in queries {
+                let (installed, layer) = generation.cache.get(q).unwrap();
+                assert_eq!(layer, CacheLayer::L2);
+                let want = compute_features(q, &*generation.view, &lm);
+                assert_eq!(
+                    feature_bits(&installed),
+                    feature_bits(&want),
+                    "workers={workers} query {q:?}"
+                );
+            }
+        }
     }
 
     #[test]
