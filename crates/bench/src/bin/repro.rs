@@ -3,11 +3,24 @@
 //! Usage:
 //!   repro -- <experiment|all|ablations> [--scale tiny|small|full] [--seed N]
 
+use cosmo_bench::extensions::{freeze_child, FREEZE_CHILD_ARG};
 use cosmo_bench::{build_context, run_experiment, Scale, EXPERIMENTS};
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // kg-scaling runs each streamed freeze in a child of this binary, so
+    // the child's peak RSS is the freeze's alone
+    if args.first().map(String::as_str) == Some(FREEZE_CHILD_ARG) {
+        match freeze_child(&args[1..]) {
+            Ok(line) => println!("{line}"),
+            Err(usage) => {
+                eprintln!("usage: repro {usage}");
+                std::process::exit(2);
+            }
+        }
+        return;
+    }
     let mut scale = Scale::Small;
     let mut seed = 0x000C_0530_u64;
     let mut smoke = false;

@@ -1,24 +1,14 @@
 //! Peak-RSS probing for the memory-budget benchmarks (Linux `/proc`).
 //!
 //! The streaming freeze's whole point is bounding resident memory, so the
-//! kg-scaling bench measures it directly: reset the kernel's recorded
-//! high-water mark, run the freeze, read `VmHWM` back. This lives in
+//! kg-scaling bench measures it directly: run the freeze in a fresh child
+//! process and read that process's `VmHWM`. This lives in
 //! cosmo-bench (not the library crates) deliberately — the deterministic
 //! crates ban wall-clock/procfs access (audit lint A04), and the probe is
 //! measurement, not semantics.
 
-/// Reset the process's recorded peak RSS (`VmHWM`) to its *current* RSS.
-///
-/// Linux: write `"5"` to `/proc/self/clear_refs`. Returns `false` where
-/// unsupported (non-Linux, restricted procfs) — callers degrade to
-/// reporting the lifetime peak instead.
-pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
-
-/// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`),
-/// since process start or the last [`reset_peak_rss`]. `None` where
-/// procfs is unavailable.
+/// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`)
+/// since process start. `None` where procfs is unavailable.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
@@ -46,14 +36,5 @@ mod tests {
         std::hint::black_box(&buf);
         let after = peak_rss_bytes().expect("probe worked a moment ago");
         assert!(after >= before, "peak RSS cannot shrink without a reset");
-    }
-
-    #[test]
-    fn reset_narrows_the_window() {
-        if !reset_peak_rss() {
-            return; // restricted procfs: nothing to assert
-        }
-        let p = peak_rss_bytes().expect("VmHWM readable after clear_refs");
-        assert!(p > 0);
     }
 }

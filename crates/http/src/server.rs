@@ -22,11 +22,10 @@
 use crate::wire::{read_request, write_response, ReadError, Request, Response};
 use cosmo_exec::WorkerPool;
 use cosmo_kg::{KgSnapshotView, FORMAT_VERSION_V2};
-use cosmo_nav::{NavigationEngine, Suggestion};
+use cosmo_nav::Suggestion;
 use cosmo_serving::{
     AdmissionPolicy, ErrorBody, NavigateItem, NavigateRequest, NavigateResponse, ReloadRequest,
-    ReloadResponse, ServeRequest, ServeStatus, ServingSystem, SnapshotGeneration, SnapshotVersion,
-    PROTOCOL_VERSION,
+    ReloadResponse, ServeRequest, ServeStatus, ServingSystem, SnapshotVersion, PROTOCOL_VERSION,
 };
 use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Read};
@@ -133,10 +132,11 @@ pub struct ServerHandle {
 impl HttpServer {
     /// Bind `config.addr` and start serving `system` in the background.
     ///
-    /// The navigation engine is built per snapshot generation, over the
-    /// same frozen view the serving system answers from, so
-    /// `/v1/navigate` and `/v1/serve-intents` can never disagree about
-    /// graph contents — including across a hot swap.
+    /// Every route answers from the system's current snapshot generation.
+    /// `/v1/navigate` uses the navigation engine that generation was built
+    /// with, over the same frozen view `/v1/serve-intents` answers from,
+    /// so the two can never disagree about graph contents — including
+    /// across a hot swap, which builds the next engine before publishing.
     pub fn start(system: Arc<ServingSystem>, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -421,25 +421,19 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
 /// the integration tests can prove the HTTP body is byte-identical to
 /// the in-process [`ServingSystem::handle`] answer.
 ///
-/// The navigation engine is generation-scoped: it is rebuilt lazily the
-/// first time a request lands on a freshly swapped snapshot, so
-/// `/v1/navigate` always answers from the same graph the response's
-/// `snapshot_generation` tag names.
+/// The router holds no state of its own: each request takes the current
+/// snapshot generation once and answers from it, so `/v1/navigate` uses
+/// the navigation engine that was built over that generation's graph
+/// before the generation was published.
 pub struct Router {
     system: Arc<ServingSystem>,
-    nav: Mutex<(u64, Arc<NavigationEngine<Arc<KgSnapshotView>>>)>,
 }
 
 impl Router {
-    /// Build a router over `system`, with the navigation engine primed
-    /// for the current generation.
+    /// Build a router over `system`. Builds nothing: every generation
+    /// already carries its navigation engine.
     pub fn new(system: Arc<ServingSystem>) -> Router {
-        let generation = system.current();
-        let nav = Arc::new(NavigationEngine::new(Arc::clone(&generation.view)));
-        Router {
-            system,
-            nav: Mutex::new((generation.generation, nav)),
-        }
+        Router { system }
     }
 
     /// The serving system this router answers from.
@@ -471,29 +465,6 @@ impl Router {
         }
     }
 
-    /// The navigation engine for `generation`, rebuilding it if the
-    /// snapshot was swapped since the last navigate request.
-    /// Returns a ready `500` response when the cache mutex is poisoned —
-    /// the request degrades instead of panicking the worker.
-    fn nav_for(
-        &self,
-        generation: &SnapshotGeneration,
-    ) -> Result<Arc<NavigationEngine<Arc<KgSnapshotView>>>, Response> {
-        let mut cached = self.nav.lock().map_err(|_| {
-            Response::json(
-                500,
-                ErrorBody::new("internal", "navigation cache unavailable").to_json(),
-            )
-        })?;
-        if cached.0 != generation.generation {
-            *cached = (
-                generation.generation,
-                Arc::new(NavigationEngine::new(Arc::clone(&generation.view))),
-            );
-        }
-        Ok(Arc::clone(&cached.1))
-    }
-
     /// `POST /v1/serve-intents`: decode, delegate to the serving read
     /// path, and map [`ServeStatus::Rejected`] to `503` + `Retry-After`
     /// — with the *same* body bytes `handle` would return in-process.
@@ -510,19 +481,17 @@ impl Router {
         }
     }
 
-    /// `POST /v1/navigate`: interpret a broad query against the frozen
-    /// KG of the current generation.
+    /// `POST /v1/navigate`: interpret a broad query with the navigation
+    /// engine of the current generation.
     fn navigate(&self, body: &[u8]) -> Response {
         let req = match decode_body(body, NavigateRequest::from_json) {
             Ok(req) => req,
             Err(resp) => return resp,
         };
-        let generation = self.system.current();
-        let nav = match self.nav_for(&generation) {
-            Ok(nav) => nav,
-            Err(resp) => return resp,
-        };
-        let suggestions = nav
+        let suggestions = self
+            .system
+            .current()
+            .nav
             .interpret(&req.query, req.k)
             .into_iter()
             .map(|s| NavigateItem {

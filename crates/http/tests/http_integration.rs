@@ -620,10 +620,13 @@ fn run_load_over_hits_misses_and_batch_cycles_has_no_errors() {
     assert!(report.p50_us <= report.p99_us, "{report:?}");
 }
 
-/// The acceptance bar for the hot-swap tentpole: ten snapshot reloads
-/// land under concurrent request traffic with **zero 5xx** responses,
-/// and within any one snapshot generation the response body for a given
-/// query is byte-identical across every thread that observed it.
+/// The acceptance bar for the hot swap: ten snapshot reloads land under
+/// concurrent serve-intents and navigate traffic with **zero 5xx**
+/// responses, and within any one snapshot generation the response body
+/// for a given query is byte-identical across every thread that observed
+/// it. Each reload builds its generation's navigation engine before it
+/// returns, so the first navigate after the last reload already answers
+/// from the final snapshot.
 #[test]
 fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
     use std::collections::HashMap;
@@ -638,6 +641,9 @@ fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
 
     // Pre-write the snapshot files the swaps will load: the base graph
     // plus i extra edges, so every generation really is a different KG.
+    // Only the last one holds an intent that refines "lighting a campsite".
+    const NAV_QUERY: &str = "lighting a campsite";
+    const FINAL_INTENT: &str = "lighting a campsite at night";
     let dir = std::env::temp_dir().join(format!("cosmo_swap_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let paths: Vec<_> = (1..=SWAPS)
@@ -646,6 +652,20 @@ fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
             for j in 0..i {
                 let head = kg.intern_node(NodeKind::Product, &format!("lantern mk{j}"));
                 let tail = kg.intern_node(NodeKind::Intention, "lighting a campsite");
+                kg.add_edge(Edge {
+                    head,
+                    relation: Relation::UsedForFunc,
+                    tail,
+                    behavior: BehaviorKind::SearchBuy,
+                    category: 0,
+                    plausibility: 0.8,
+                    typicality: 0.4,
+                    support: 2,
+                });
+            }
+            if i == SWAPS {
+                let head = kg.intern_node(NodeKind::Product, "headlamp");
+                let tail = kg.intern_node(NodeKind::Intention, FINAL_INTENT);
                 kg.add_edge(Edge {
                     head,
                     relation: Relation::UsedForFunc,
@@ -706,8 +726,36 @@ fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
             })
         })
         .collect();
+    let nav_body = format!("{{\"query\":{NAV_QUERY:?},\"k\":3}}");
+    let navigator = {
+        let stop = Arc::clone(&stop);
+        let nav_body = nav_body.clone();
+        std::thread::spawn(move || {
+            let mut client = HttpClient::connect(addr).unwrap();
+            let mut count = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let resp = client.request("POST", "/v1/navigate", &nav_body).unwrap();
+                assert!(
+                    resp.status < 500,
+                    "5xx navigate under swap: {} {}",
+                    resp.status,
+                    resp.body
+                );
+                assert_eq!(resp.status, 200, "navigate must answer: {}", resp.body);
+                count += 1;
+            }
+            count
+        })
+    };
 
     let mut ops_client = HttpClient::connect(addr).unwrap();
+    let suggests_final = |client: &mut HttpClient| {
+        let resp = client.request("POST", "/v1/navigate", &nav_body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let nav = NavigateResponse::from_json(&resp.body).unwrap();
+        nav.suggestions.iter().any(|s| s.label == FINAL_INTENT)
+    };
+    assert!(!suggests_final(&mut ops_client), "the base graph lacks it");
     for (i, path) in paths.iter().enumerate() {
         std::thread::sleep(Duration::from_millis(30));
         let body = format!("{{\"path\":{:?}}}", path.display().to_string());
@@ -721,10 +769,17 @@ fn hot_swap_under_load_is_zero_downtime_and_generation_consistent() {
         );
         assert_eq!(reloaded.format_version, 2, "reload served the v2 mmap path");
     }
+    // the reload built the final generation's engine: the very next
+    // navigate answers over the final snapshot
+    assert!(
+        suggests_final(&mut ops_client),
+        "navigate after the last reload missed the final snapshot"
+    );
     std::thread::sleep(Duration::from_millis(30));
     stop.store(true, Ordering::Relaxed);
     let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(total > 0, "readers made progress");
+    assert!(navigator.join().unwrap() > 0, "the navigator made progress");
 
     // the final generation is live and identifies the last snapshot
     let resp = ops_client

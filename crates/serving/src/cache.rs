@@ -20,6 +20,7 @@
 //!   the queue without bound.
 
 use crate::features::StructuredFeatures;
+use crate::system::ServingConfig;
 use cosmo_text::hash::hash_str_ns;
 use cosmo_text::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
@@ -63,33 +64,6 @@ pub enum AdmissionPolicy {
     /// Refuse the new query (favours queue stability — the rejected
     /// query will be re-queued on its next miss once there is room).
     RejectNew,
-}
-
-/// Cache sizing and admission parameters.
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// Max entries in the pre-loaded / promoted L1 layer.
-    pub l1_capacity: usize,
-    /// Max entries across all L2 shards (split evenly per shard).
-    pub l2_capacity: usize,
-    /// Number of shards for L2 / pending / hit-count state.
-    pub shards: usize,
-    /// Max queued pending queries across all shards (split evenly).
-    pub pending_bound: usize,
-    /// What to do with a miss when its shard's pending queue is full.
-    pub admission: AdmissionPolicy,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            l1_capacity: 4096,
-            l2_capacity: 16384,
-            shards: 8,
-            pending_bound: 4096,
-            admission: AdmissionPolicy::DropOldest,
-        }
-    }
 }
 
 /// Hit/miss/admission counters.
@@ -206,8 +180,9 @@ pub struct CacheStore {
 
 impl CacheStore {
     /// Create with a pre-loaded L1 layer (the "yearly frequent searches"),
-    /// sharing the callers' `Arc`s rather than copying the features.
-    pub fn new(preloaded: Vec<Arc<StructuredFeatures>>, cfg: CacheConfig) -> Self {
+    /// sharing the callers' `Arc`s rather than copying the features, sized
+    /// by `cfg`'s capacities, shard count, queue bound and admission policy.
+    pub fn new(preloaded: Vec<Arc<StructuredFeatures>>, cfg: &ServingConfig) -> Self {
         let l1: FxHashMap<String, Arc<StructuredFeatures>> = preloaded
             .into_iter()
             .map(|f| (f.query.clone(), f))
@@ -503,17 +478,17 @@ mod tests {
         })
     }
 
-    fn single_shard(l1_capacity: usize) -> CacheConfig {
-        CacheConfig {
+    fn single_shard(l1_capacity: usize) -> ServingConfig {
+        ServingConfig {
             l1_capacity,
             shards: 1,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         }
     }
 
     #[test]
     fn l1_hits_preloaded() {
-        let cache = CacheStore::new(vec![feat("camping")], single_shard(10));
+        let cache = CacheStore::new(vec![feat("camping")], &single_shard(10));
         let (f, layer) = cache.get("camping").unwrap();
         assert_eq!(layer, CacheLayer::L1);
         assert_eq!(f.query, "camping");
@@ -522,7 +497,7 @@ mod tests {
 
     #[test]
     fn miss_enqueues_then_l2_serves() {
-        let cache = CacheStore::new(vec![], single_shard(10));
+        let cache = CacheStore::new(vec![], &single_shard(10));
         assert!(cache.get("new query").is_none());
         assert_eq!(cache.pending_len(), 1);
         let drained = cache.drain_pending(10);
@@ -535,7 +510,7 @@ mod tests {
 
     #[test]
     fn identical_misses_cost_one_slot() {
-        let cache = CacheStore::new(vec![], single_shard(10));
+        let cache = CacheStore::new(vec![], &single_shard(10));
         for _ in 0..5 {
             let _ = cache.get("dup");
         }
@@ -547,13 +522,13 @@ mod tests {
 
     #[test]
     fn full_queue_drops_oldest() {
-        let cfg = CacheConfig {
+        let cfg = ServingConfig {
             shards: 1,
             pending_bound: 3,
             admission: AdmissionPolicy::DropOldest,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         };
-        let cache = CacheStore::new(vec![], cfg);
+        let cache = CacheStore::new(vec![], &cfg);
         for q in ["a", "b", "c", "d", "e"] {
             let _ = cache.get(q);
         }
@@ -566,13 +541,13 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_new() {
-        let cfg = CacheConfig {
+        let cfg = ServingConfig {
             shards: 1,
             pending_bound: 3,
             admission: AdmissionPolicy::RejectNew,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         };
-        let cache = CacheStore::new(vec![], cfg);
+        let cache = CacheStore::new(vec![], &cfg);
         for q in ["a", "b", "c", "d", "e"] {
             let _ = cache.get(q);
         }
@@ -585,13 +560,13 @@ mod tests {
 
     #[test]
     fn lookup_reports_admission_outcome() {
-        let cfg = CacheConfig {
+        let cfg = ServingConfig {
             shards: 1,
             pending_bound: 1,
             admission: AdmissionPolicy::RejectNew,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         };
-        let cache = CacheStore::new(vec![feat("hot")], cfg);
+        let cache = CacheStore::new(vec![feat("hot")], &cfg);
         assert!(matches!(
             cache.lookup("hot"),
             CacheLookup::Hit(_, CacheLayer::L1)
@@ -606,7 +581,7 @@ mod tests {
 
     #[test]
     fn high_water_mark_tracks_peak() {
-        let cache = CacheStore::new(vec![], single_shard(10));
+        let cache = CacheStore::new(vec![], &single_shard(10));
         for q in ["a", "b", "c", "d"] {
             let _ = cache.get(q);
         }
@@ -627,7 +602,7 @@ mod tests {
 
     #[test]
     fn requeue_skips_miss_accounting() {
-        let cache = CacheStore::new(vec![], single_shard(10));
+        let cache = CacheStore::new(vec![], &single_shard(10));
         let n = cache.requeue(&["x".to_string(), "y".to_string(), "x".to_string()]);
         assert_eq!(n, 2, "duplicates are not re-queued");
         assert_eq!(cache.pending_len(), 2);
@@ -636,7 +611,7 @@ mod tests {
 
     #[test]
     fn daily_refresh_promotes_hot_entries() {
-        let cache = CacheStore::new(vec![feat("old")], single_shard(3));
+        let cache = CacheStore::new(vec![feat("old")], &single_shard(3));
         cache.install(vec![feat("hot"), feat("cold")]);
         // touch "hot" several times
         for _ in 0..4 {
@@ -653,7 +628,7 @@ mod tests {
 
     #[test]
     fn refresh_respects_l1_capacity() {
-        let cache = CacheStore::new(vec![feat("a")], single_shard(2));
+        let cache = CacheStore::new(vec![feat("a")], &single_shard(2));
         cache.install(vec![feat("b"), feat("c")]);
         for _ in 0..3 {
             let _ = cache.get("b");
@@ -667,12 +642,12 @@ mod tests {
 
     #[test]
     fn l2_capacity_evicts_oldest() {
-        let cfg = CacheConfig {
+        let cfg = ServingConfig {
             shards: 1,
             l2_capacity: 2,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         };
-        let cache = CacheStore::new(vec![], cfg);
+        let cache = CacheStore::new(vec![], &cfg);
         cache.install(vec![feat("a"), feat("b"), feat("c")]);
         assert_eq!(cache.sizes().1, 2);
         assert!(cache.get("a").is_none(), "oldest entry evicted");
@@ -686,12 +661,12 @@ mod tests {
 
     #[test]
     fn sharded_refresh_promotes_across_shards() {
-        let cfg = CacheConfig {
+        let cfg = ServingConfig {
             l1_capacity: 8,
             shards: 4,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         };
-        let cache = CacheStore::new(vec![], cfg);
+        let cache = CacheStore::new(vec![], &cfg);
         let keys: Vec<String> = (0..6).map(|i| format!("q{i}")).collect();
         cache.install(keys.iter().map(|k| feat(k)).collect());
         assert_eq!(cache.sizes().1, 6);
@@ -709,7 +684,7 @@ mod tests {
 
     #[test]
     fn hit_rate_computation() {
-        let cache = CacheStore::new(vec![feat("x")], single_shard(10));
+        let cache = CacheStore::new(vec![feat("x")], &single_shard(10));
         let _ = cache.get("x");
         let _ = cache.get("y");
         assert!((cache.metrics.hit_rate() - 0.5).abs() < 1e-9);
@@ -719,12 +694,12 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe() {
-        let cfg = CacheConfig {
+        let cfg = ServingConfig {
             l1_capacity: 100,
             shards: 8,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         };
-        let cache = Arc::new(CacheStore::new(vec![feat("hot")], cfg));
+        let cache = Arc::new(CacheStore::new(vec![feat("hot")], &cfg));
         let mut handles = Vec::new();
         for t in 0..4 {
             let c = cache.clone();

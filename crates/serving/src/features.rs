@@ -23,9 +23,6 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// Hash namespace for feature-store shard routing.
 const FEATURE_SHARD_NS: u32 = 0x5EEE;
 
-/// Default shard count (matches the cache store's default).
-const DEFAULT_SHARDS: usize = 8;
-
 /// Structured features derived from a model response for one query.
 #[derive(Debug, Clone, Default)]
 pub struct StructuredFeatures {
@@ -147,18 +144,7 @@ pub struct FeatureStore {
     shards: Vec<RwLock<FxHashMap<String, Arc<StructuredFeatures>>>>,
 }
 
-impl Default for FeatureStore {
-    fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-}
-
 impl FeatureStore {
-    /// Empty store with the default shard count.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empty store with an explicit shard count (min 1).
     pub fn with_shards(shards: usize) -> Self {
         FeatureStore {
@@ -262,7 +248,7 @@ mod tests {
 
     #[test]
     fn store_roundtrip() {
-        let store = FeatureStore::new();
+        let store = FeatureStore::with_shards(8);
         assert!(store.is_empty());
         let kg = kg_with_query("camping");
         let f = compute_features("camping", &kg, &lm());

@@ -60,12 +60,16 @@
 //!
 //! ## Hot snapshot swap
 //!
-//! Graph-derived state (the [`cosmo_kg::KgSnapshotView`], cache, and
-//! feature store) is bundled into an immutable [`SnapshotGeneration`]
-//! behind an RCU-style [`SnapshotHandle`]. `ServingSystem::swap_snapshot`
-//! builds the whole next generation off to the side and publishes it with
-//! one pointer store, so the daily refresh can replace the graph under
-//! live traffic with zero dropped requests — see the [`swap`] module.
+//! Graph-derived state (the [`cosmo_kg::KgSnapshotView`], cache, feature
+//! store, and the [`cosmo_nav::NavigationEngine`] with its Figure 8 intent
+//! hierarchy) is bundled into an immutable [`SnapshotGeneration`] behind
+//! an RCU-style [`SnapshotHandle`]. One function builds a generation, for
+//! the build-time snapshot and for every swap alike:
+//! `ServingSystem::swap_snapshot` builds the whole next generation,
+//! navigation engine included, off to the side and publishes it with one
+//! pointer store, so the daily refresh can replace the graph under live
+//! traffic with zero dropped requests, and no request ever waits on a
+//! hierarchy build — see the [`swap`] module.
 
 #![forbid(unsafe_code)]
 
@@ -79,7 +83,7 @@ pub mod swap;
 pub mod system;
 pub mod views;
 
-pub use cache::{AdmissionPolicy, CacheConfig, CacheLayer, CacheLookup, CacheMetrics, CacheStore};
+pub use cache::{AdmissionPolicy, CacheLayer, CacheLookup, CacheMetrics, CacheStore};
 pub use error::ServingError;
 pub use features::{compute_features, FeatureStore, StructuredFeatures};
 pub use histogram::{bucket_index, LatencyRecorder};

@@ -6,18 +6,20 @@
 //! here is read-copy-update over an [`Arc`]:
 //!
 //! * Everything whose contents depend on the graph — the frozen
-//!   [`KgSnapshotView`], the two-layer cache, and the feature store — is
-//!   bundled into one immutable [`SnapshotGeneration`] with a
-//!   monotonically increasing generation number.
+//!   [`KgSnapshotView`], the two-layer cache, the feature store and the
+//!   navigation engine — is bundled into one immutable
+//!   [`SnapshotGeneration`] with a monotonically increasing generation
+//!   number.
 //! * Readers take one [`SnapshotHandle::load`] (a read-locked `Arc`
 //!   clone, no allocation) per request and answer entirely from that
 //!   generation. A request can therefore never observe a torn mix of old
 //!   graph and new cache: per generation, answers are byte-identical.
 //! * A swap builds the *whole* next generation off to the side (load +
-//!   verify the file, recompute the preload set) and only then publishes
-//!   it with one pointer store. In-flight requests finish on the old
-//!   generation, which is freed when its last `Arc` drops; late batch
-//!   installs into a stale generation die with it by design.
+//!   verify the file, recompute the preload set, build the intent
+//!   hierarchy) and only then publishes it with one pointer store.
+//!   In-flight requests finish on the old generation, which is freed when
+//!   its last `Arc` drops; late batch installs into a stale generation die
+//!   with it by design.
 //!
 //! Bundling the cache with the view is what makes the swap *correct*
 //! rather than merely atomic: a shared cache would race a generation load
@@ -27,10 +29,12 @@
 use crate::cache::CacheStore;
 use crate::features::FeatureStore;
 use cosmo_kg::KgSnapshotView;
+use cosmo_nav::NavigationEngine;
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// One immutable generation of serving state: the graph view plus every
-/// cache keyed off it.
+/// cache and index keyed off it, all built before the generation is
+/// published, so no request ever builds any of them.
 pub struct SnapshotGeneration {
     /// Generation number (1 for the build-time snapshot, +1 per swap).
     pub generation: u64,
@@ -40,6 +44,8 @@ pub struct SnapshotGeneration {
     pub cache: CacheStore,
     /// The sharded feature store for this generation.
     pub features: FeatureStore,
+    /// The Figure 8 navigation engine over this generation's view.
+    pub nav: NavigationEngine<Arc<KgSnapshotView>>,
 }
 
 /// The RCU publication point: readers clone the current generation's
@@ -76,13 +82,15 @@ impl SnapshotHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheConfig;
+    use crate::system::ServingConfig;
 
     fn generation(n: u64) -> SnapshotGeneration {
+        let view = Arc::new(cosmo_kg::KnowledgeGraph::new().freeze());
         SnapshotGeneration {
             generation: n,
-            view: Arc::new(cosmo_kg::KnowledgeGraph::new().freeze()),
-            cache: CacheStore::new(Vec::new(), CacheConfig::default()),
+            nav: NavigationEngine::new(Arc::clone(&view)),
+            view,
+            cache: CacheStore::new(Vec::new(), &ServingConfig::default()),
             features: FeatureStore::with_shards(2),
         }
     }

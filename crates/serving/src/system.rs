@@ -30,7 +30,7 @@
 //!     .build()?;
 //! ```
 
-use crate::cache::{AdmissionPolicy, CacheConfig, CacheLookup, CacheStore};
+use crate::cache::{AdmissionPolicy, CacheLookup, CacheStore};
 use crate::error::ServingError;
 use crate::features::{compute_features_batch, FeatureStore, StructuredFeatures};
 pub use crate::histogram::LatencyRecorder;
@@ -39,6 +39,7 @@ use crate::swap::{SnapshotGeneration, SnapshotHandle};
 use cosmo_exec::{ChunkResult, WorkerPool};
 use cosmo_kg::KgSnapshotView;
 use cosmo_lm::CosmoLm;
+use cosmo_nav::NavigationEngine;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -94,16 +95,6 @@ impl ServingConfig {
             }
         }
         Ok(())
-    }
-
-    fn cache_config(&self) -> CacheConfig {
-        CacheConfig {
-            l1_capacity: self.l1_capacity,
-            l2_capacity: self.l2_capacity,
-            shards: self.shards,
-            pending_bound: self.pending_bound,
-            admission: self.admission,
-        }
     }
 }
 
@@ -168,8 +159,9 @@ impl ServingSystemBuilder {
         self
     }
 
-    /// Validate the configuration, pre-compute the preloaded features,
-    /// spawn the worker pool, and assemble the system.
+    /// Validate the configuration, build the first generation (preloaded
+    /// features and navigation engine), spawn the worker pool, and
+    /// assemble the system.
     pub fn build(self) -> Result<ServingSystem, ServingError> {
         self.cfg.validate()?;
         let view = self.view.ok_or(ServingError::MissingKnowledgeGraph)?;
@@ -194,10 +186,11 @@ impl ServingSystemBuilder {
 
 /// The full serving system.
 ///
-/// All graph-derived state (view + cache + feature store) lives in the
-/// current [`SnapshotGeneration`] behind the RCU [`SnapshotHandle`];
-/// access it through [`ServingSystem::current`]. Latency, model version
-/// and the worker pool are generation-independent and stay here.
+/// All graph-derived state (view + cache + feature store + navigation
+/// engine) lives in the current [`SnapshotGeneration`] behind the RCU
+/// [`SnapshotHandle`]; access it through [`ServingSystem::current`].
+/// Latency, model version and the worker pool are generation-independent
+/// and stay here.
 pub struct ServingSystem {
     /// Request-path latency histogram (survives snapshot swaps).
     pub latency: LatencyRecorder,
@@ -225,7 +218,7 @@ impl ServingSystem {
     }
 
     /// The currently published snapshot generation (view + cache +
-    /// feature store). Take it once per logical operation so a
+    /// feature store + navigation engine). Take it once per logical operation so a
     /// concurrent swap cannot tear your reads across generations.
     pub fn current(&self) -> Arc<SnapshotGeneration> {
         self.handle.load()
@@ -244,9 +237,9 @@ impl ServingSystem {
     /// Atomically replace the serving snapshot under live traffic.
     ///
     /// The entire next generation — view, preload-warmed cache, feature
-    /// store — is built off to the side and then published with one
-    /// pointer store; requests in flight finish on the generation they
-    /// started on. Returns the new generation number.
+    /// store, navigation engine — is built off to the side and then
+    /// published with one pointer store; requests in flight finish on the
+    /// generation they started on. Returns the new generation number.
     pub fn swap_snapshot(&self, view: KgSnapshotView) -> u64 {
         let _serialised = self
             .swap_lock
@@ -260,7 +253,8 @@ impl ServingSystem {
     }
 
     /// Assemble one generation: preload features computed against *its*
-    /// view, a fresh cache warmed with them, a fresh feature store.
+    /// view, a fresh cache warmed with them, a fresh feature store, and
+    /// the navigation engine (the Figure 8 intent hierarchy) over the view.
     fn build_generation(
         generation: u64,
         view: Arc<KgSnapshotView>,
@@ -274,12 +268,14 @@ impl ServingSystem {
             .into_iter()
             .map(|f| features.put(f))
             .collect();
-        let cache = CacheStore::new(preloaded, cfg.cache_config());
+        let cache = CacheStore::new(preloaded, cfg);
+        let nav = NavigationEngine::new(Arc::clone(&view));
         SnapshotGeneration {
             generation,
             view,
             cache,
             features,
+            nav,
         }
     }
 
@@ -505,6 +501,25 @@ mod tests {
         // L1 and the feature store share one copy of the preloaded features
         let stored = sys.current().features.get("camping").unwrap();
         assert!(Arc::ptr_eq(&r.features.unwrap(), &stored));
+    }
+
+    /// The build-time generation and every swapped one carry a navigation
+    /// engine over their own view, built before they were published.
+    #[test]
+    fn each_generation_carries_a_navigation_engine_over_its_view() {
+        let sys = system(&[]);
+        let built = sys.current();
+        assert!(Arc::ptr_eq(built.nav.kg(), &built.view));
+        let mut kg = KnowledgeGraph::new();
+        for intent in ["camping", "winter camping"] {
+            kg.intern_node(NodeKind::Intention, intent);
+        }
+        assert_eq!(sys.swap_snapshot(kg.freeze()), 2);
+        let swapped = sys.current();
+        assert!(Arc::ptr_eq(swapped.nav.kg(), &swapped.view));
+        assert!(!Arc::ptr_eq(&swapped.view, &built.view));
+        assert_eq!(swapped.nav.hierarchy().len(), 2);
+        assert!(built.nav.hierarchy().is_empty());
     }
 
     #[test]

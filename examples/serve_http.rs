@@ -6,6 +6,10 @@
 //! cargo run --release --example serve_http
 //! ```
 //!
+//! It asserts as it goes (the serve-intents body equals the in-process
+//! answer, navigate suggests something for "camping"), so a non-zero exit
+//! means a route broke.
+//!
 //! While it runs you can also poke the server from a real shell:
 //! the bound address is printed first, e.g.
 //! `curl -s -X POST http://127.0.0.1:PORT/v1/serve-intents -d '{"query":"dog leash"}'`.
@@ -89,6 +93,11 @@ fn main() {
     for s in &nav.suggestions {
         println!("  [{}] {}", s.kind, s.label);
     }
+    assert_eq!(resp.status, 200);
+    assert!(
+        !nav.suggestions.is_empty(),
+        "the served generation's navigation engine interprets \"camping\""
+    );
 
     let resp = client
         .request("GET", "/ops/stats", "")

@@ -6,12 +6,12 @@
 # Runs the release build, the whole workspace's test suite (the root
 # manifest's `default-members` make plain `cargo test` cover every crate),
 # the audit ratchet, clippy with warnings denied, the formatting check,
-# the snapshot check and the kg-scaling smoke. HTTP load and hot swaps
-# under load are covered by cosmo-http's integration tests. Smoke runs
-# write their BENCH_*.json under the gitignored artifacts/, so the gate
-# leaves the working tree clean; inside a git work tree it fails if `git
-# status --porcelain` after the last check differs from the status
-# recorded right after the builds. Requires network access (or a warm
+# the snapshot check, the serve_http example and the kg-scaling smoke.
+# HTTP load and hot swaps under load are covered by cosmo-http's
+# integration tests. Smoke runs write their BENCH_*.json under the
+# gitignored artifacts/, so the gate leaves the working tree clean;
+# inside a git work tree it fails if `git status --porcelain` after the
+# last check differs from the status recorded right after the builds. Requires network access (or a warm
 # cargo cache) for the first build.
 #
 # Slow opt-in tests (full repro experiments, scaling sweeps) are marked
@@ -48,6 +48,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # snapshot-format compatibility: freeze, stream, open, verify, refuse corruption
 cargo run --release --example snapshot_check
+# the standalone server through the public API: every route over one
+# keep-alive connection, asserting the serve-intents bytes and a
+# non-empty navigate answer
+cargo run --release --example serve_http
 # streaming-writer smoke: sharded generation stream-frozen with forced
 # spills, asserted byte-identical to the in-memory store freeze (the
 # 6.3M-node/29M-edge world is opt-in: `repro -- kg-scaling --paper`)

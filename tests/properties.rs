@@ -211,13 +211,13 @@ proptest! {
 
 #[test]
 fn cache_coherent_under_concurrent_mixed_ops() {
-    use cosmo::serving::{CacheConfig, CacheStore, StructuredFeatures};
+    use cosmo::serving::{CacheStore, ServingConfig, StructuredFeatures};
     use std::sync::Arc;
     let cache = Arc::new(CacheStore::new(
         vec![],
-        CacheConfig {
+        &ServingConfig {
             l2_capacity: 256,
-            ..CacheConfig::default()
+            ..ServingConfig::default()
         },
     ));
     let mut handles = Vec::new();
