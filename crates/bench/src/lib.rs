@@ -52,7 +52,9 @@ pub const EXPERIMENTS: [&str; 23] = [
     "kg-scaling",
 ];
 
-/// Run one experiment by name against a prepared context.
+/// Run one experiment by name against a prepared context. `kg-scaling`
+/// freezes its streamed worlds in child `repro` processes, so it runs
+/// only inside the `repro` binary.
 pub fn run_experiment(ctx: &Ctx, name: &str) -> Option<String> {
     let out = match name {
         "table1" => tables::table1(ctx),
@@ -99,39 +101,6 @@ mod tests {
         let out = run_experiment(&ctx, "pipeline-scaling").expect("known experiment");
         assert!(out.contains("speedup"), "missing header:\n{out}");
         assert!(out.contains("1.00x"), "missing sequential baseline:\n{out}");
-    }
-
-    /// CSR lookups must clearly beat the hashmap adjacency and snapshot
-    /// loading must clearly beat rebuilding (targets ≥3× and ≥5×;
-    /// also re-asserts serving/nav identity over the snapshot).
-    /// Timing-dependent, so opt-in: `cargo test -q --release -- --ignored`.
-    #[test]
-    #[ignore = "timing-dependent KG read-path speedup measurement"]
-    fn kg_scaling_experiment_runs() {
-        let ctx = build_context(Scale::Tiny, 0xC05);
-        let out = run_experiment(&ctx, "kg-scaling").expect("known experiment");
-        assert!(out.contains("csr"), "missing lookup table:\n{out}");
-        assert!(
-            out.contains("bitwise-identical"),
-            "missing identity check:\n{out}"
-        );
-    }
-
-    /// The full 6.3M-node / 29M-edge world of the paper: sharded parallel
-    /// generation, streaming freeze with the 2x peak-RSS budget asserted,
-    /// and serving/nav/HTTP identity against the replayed store. Minutes of wall clock and
-    /// ~3 GB of scratch disk, so opt-in — same coverage as
-    /// `cargo run --release -p cosmo-bench --bin repro -- kg-scaling --paper`.
-    #[test]
-    #[ignore = "paper-scale streamed freeze: minutes of wall clock, ~2 GB peak RSS"]
-    fn kg_scaling_paper_tier_runs() {
-        let ctx = build_context(Scale::Tiny, 0xC05);
-        let out = extensions::kg_scaling(&ctx, extensions::KgTier::Paper);
-        assert!(out.contains("paper"), "missing paper row:\n{out}");
-        assert!(
-            out.contains("bitwise-identical to the store"),
-            "missing scale identity check:\n{out}"
-        );
     }
 
     /// The blocked kernel must clearly beat the seed scalar loop at
