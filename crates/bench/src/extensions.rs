@@ -1045,12 +1045,146 @@ fn synthetic_critic_examples(n: usize, buckets: usize) -> Vec<cosmo_core::Critic
         .collect()
 }
 
+/// Shapes of the student's parameter store at the default config with a
+/// 696-tail vocabulary: encoder table, tail table and four `48 → 1` heads,
+/// 426,820 elements in all.
+const STUDENT_STORE: [(usize, usize); 10] = [
+    (8192, 48),
+    (696, 48),
+    (48, 1),
+    (1, 1),
+    (48, 1),
+    (1, 1),
+    (48, 1),
+    (1, 1),
+    (48, 1),
+    (1, 1),
+];
+
+/// Measured Adam step cost at the student's store size, ns per element.
+#[derive(Debug, Clone, Copy)]
+pub struct AdamStepNs {
+    /// Elements per step.
+    pub elements: usize,
+    /// Portable (baseline-ISA) element pass.
+    pub portable: f64,
+    /// Runtime-dispatched element pass on one thread.
+    pub dispatched: f64,
+    /// `Adam::step` over the student-shaped store on a pool of `lanes`.
+    pub split: f64,
+    /// Pool workers of the split row.
+    pub lanes: usize,
+}
+
+/// Times Adam's element pass over the student's 426,820 elements: the
+/// portable body and the dispatched body on one flat buffer, then
+/// `Adam::step` over a store of the student's shapes split across `lanes`
+/// pool workers. Each timed pass starts from freshly written gradients
+/// (the pass clears them); the best of the repetitions is kept. Panics
+/// unless the dispatched body and the split step give the portable bits.
+pub fn adam_step_ns(lanes: usize) -> AdamStepNs {
+    use cosmo_nn::opt::{Adam, AdamStep};
+    let elements: usize = STUDENT_STORE.iter().map(|&(r, c)| r * c).sum();
+    let grads = bench_matrix(1, elements, 3).into_data();
+    let weights = bench_matrix(1, elements, 4).into_data();
+    let step = AdamStep {
+        lr: 0.01,
+        beta1: 0.9,
+        beta2: 0.999,
+        eps: 1e-8,
+        weight_decay: 0.0,
+        bias1: 1.0 - 0.9f32.powi(7),
+        bias2: 1.0 - 0.999f32.powi(7),
+    };
+    let reps = 30;
+    type Pass = fn(&AdamStep, &mut [f32], &mut [f32], &mut [f32], &mut [f32]);
+    let run = |pass: Pass| {
+        let mut w = weights.clone();
+        let mut g = grads.clone();
+        let (mut m, mut v) = (vec![0.0f32; elements], vec![0.0f32; elements]);
+        pass(&step, &mut w, &mut g, &mut m, &mut v);
+        let first = w.clone();
+        let mut best = f64::INFINITY;
+        for _ in 0..reps {
+            g.copy_from_slice(&grads);
+            let t0 = std::time::Instant::now();
+            pass(&step, &mut w, &mut g, &mut m, &mut v);
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        (first, best)
+    };
+    let (portable_bits, t_portable) = run(AdamStep::apply_portable);
+    let (dispatched_bits, t_dispatched) = run(AdamStep::apply);
+    assert_eq!(
+        bits_of(&dispatched_bits),
+        bits_of(&portable_bits),
+        "dispatched Adam pass diverged from the portable body"
+    );
+
+    let build = || {
+        let mut store = cosmo_nn::ParamStore::new();
+        let mut at = 0;
+        for (i, &(r, c)) in STUDENT_STORE.iter().enumerate() {
+            let data = weights[at..at + r * c].to_vec();
+            store.add(&format!("p{i}"), cosmo_nn::Tensor::from_vec(r, c, data));
+            at += r * c;
+        }
+        store
+    };
+    let fill = |store: &mut cosmo_nn::ParamStore| {
+        let mut at = 0;
+        for id in store.ids() {
+            let grad = store.grad_mut(id).data_mut();
+            grad.copy_from_slice(&grads[at..at + grad.len()]);
+            at += grad.len();
+        }
+    };
+    let digest = |store: &cosmo_nn::ParamStore| -> Vec<u32> {
+        store
+            .ids()
+            .iter()
+            .flat_map(|&id| bits_of(store.value(id).data()))
+            .collect()
+    };
+    let pool = cosmo_exec::WorkerPool::new(lanes);
+    let (mut inline_store, mut split_store) = (build(), build());
+    let (mut inline_adam, mut split_adam) = (Adam::new(0.01), Adam::new(0.01));
+    fill(&mut inline_store);
+    inline_adam.step(&mut inline_store, &cosmo_exec::WorkerPool::new(1));
+    let mut best = f64::INFINITY;
+    for rep in 0..=reps {
+        fill(&mut split_store);
+        let t0 = std::time::Instant::now();
+        split_adam.step(&mut split_store, &pool);
+        best = best.min(t0.elapsed().as_secs_f64());
+        if rep == 0 {
+            assert_eq!(
+                digest(&split_store),
+                digest(&inline_store),
+                "Adam::step on {lanes} lanes diverged from one lane"
+            );
+        }
+    }
+    let ns = |secs: f64| secs * 1e9 / elements as f64;
+    AdamStepNs {
+        elements,
+        portable: ns(t_portable),
+        dispatched: ns(t_dispatched),
+        split: ns(best),
+        lanes,
+    }
+}
+
+fn bits_of(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 /// cosmo-nn compute-engine scaling: matmul GFLOP/s (seed reference loop vs
 /// blocked kernel vs 4-thread row-partitioned kernel, plus the FMA
 /// reduction-tree tier when the `fast-math` feature is compiled in) across
 /// shapes, batched student inference against the per-item path, and the
 /// per-epoch wall clock of critic training on the single-tape gradient
-/// step. Writes `BENCH_nn.json` at the repo root and returns the
+/// step, and the Adam step at the student's size. Writes `BENCH_nn.json` at the repo root and returns the
 /// human-readable summary.
 pub fn nn_scaling(ctx: &Ctx) -> String {
     let fast_math = cfg!(feature = "fast-math");
@@ -1199,6 +1333,21 @@ pub fn nn_scaling(ctx: &Ctx) -> String {
     let _ = writeln!(
         json,
         "    {{\"batch\": 256, \"epoch_secs\": {epoch_secs:.6}}}"
+    );
+
+    let a = adam_step_ns(cores);
+    let _ = writeln!(
+        out,
+        "adam step: {:.3} ns/elem portable, {:.3} dispatched, {:.3} split over {} \
+         ({} elements, the student's store)",
+        a.portable, a.dispatched, a.split, a.lanes, a.elements
+    );
+    let _ = write!(
+        json,
+        "  ],\n  \"adam_step\": [\n    {{\"elements\": {}, \"portable_ns_per_elem\": {:.3}, \
+         \"dispatched_ns_per_elem\": {:.3}, \"split_ns_per_elem\": {:.3}, \
+         \"split_lanes\": {}}}\n",
+        a.elements, a.portable, a.dispatched, a.split, a.lanes
     );
     let fma_field = if fast_math {
         format!("  \"fma_speedup_256\": {fma_speedup_256:.3},\n")

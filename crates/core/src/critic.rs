@@ -13,6 +13,7 @@
 //! tail-token cross features (the signal that lets plausibility generalise
 //! across products of the same type), relation and domain ids.
 
+use cosmo_exec::WorkerPool;
 use cosmo_nn::infer::{self, ScratchPool};
 use cosmo_nn::layers::{Embedding, Linear};
 use cosmo_nn::opt::Adam;
@@ -176,6 +177,12 @@ impl Critic {
     /// Train on annotated examples; the last 15% (by shuffled order) are
     /// held out for the accuracy/AUC report.
     pub fn train(&mut self, examples: &[CriticExample]) -> CriticReport {
+        self.train_with(examples, &WorkerPool::new(1))
+    }
+
+    /// [`Critic::train`], splitting each optimizer step's large tensors
+    /// across `pool`; the trained bits are the same at any pool size.
+    pub fn train_with(&mut self, examples: &[CriticExample], pool: &WorkerPool) -> CriticReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5EED);
         let mut order: Vec<usize> = (0..examples.len()).collect();
         order.shuffle(&mut rng);
@@ -197,7 +204,7 @@ impl Critic {
             let mut steps = 0;
             for chunk in idx.chunks(self.cfg.batch) {
                 let batch: Vec<&CriticExample> = chunk.iter().map(|&i| &examples[i]).collect();
-                let loss = self.train_step(&batch, &mut opt, &mut tape);
+                let loss = self.train_step(&batch, &mut opt, &mut tape, pool);
                 epoch_loss += loss;
                 steps += 1;
             }
@@ -230,7 +237,13 @@ impl Critic {
     }
 
     /// One gradient step over the whole batch; returns its loss.
-    fn train_step(&mut self, batch: &[&CriticExample], opt: &mut Adam, tape: &mut Tape) -> f32 {
+    fn train_step(
+        &mut self,
+        batch: &[&CriticExample],
+        opt: &mut Adam,
+        tape: &mut Tape,
+        pool: &WorkerPool,
+    ) -> f32 {
         let Critic {
             store,
             emb,
@@ -277,7 +290,7 @@ impl Critic {
             let loss_t = tape.bce_with_logits(logit_t, &targets_t);
             tape.add(loss_p, loss_t)
         });
-        opt.step(store);
+        opt.step(store, pool);
         loss
     }
 

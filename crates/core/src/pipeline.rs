@@ -254,8 +254,8 @@ pub fn run_over(world: World, log: BehaviorLog, cfg: &PipelineConfig) -> Pipelin
         stats.add_annotations(c.behavior.kind(), c.domain.0, 1);
     }
 
-    // critic training (example construction fans out; training itself is
-    // sequential SGD and stays on the caller thread)
+    // critic training (example construction fans out; the steps are
+    // sequential, each splitting its large tensors across the pool)
     let mut critic = Critic::new(cfg.critic.clone());
     let examples: Vec<CriticExample> = pool.map(
         &annotation.annotations,
@@ -270,7 +270,7 @@ pub fn run_over(world: World, log: BehaviorLog, cfg: &PipelineConfig) -> Pipelin
             }
         },
     );
-    report.critic = critic.train(&examples);
+    report.critic = critic.train_with(&examples, &pool);
 
     // critic scoring of every kept candidate
     let kept_idx: Vec<usize> = filtered

@@ -113,7 +113,10 @@ impl ShardMerge {
                     }
                     NodeId(*slot)
                 }
-                None => self.interner.intern(node.kind, node.text),
+                // Head texts are unique across the world (locked by
+                // `head_and_intent_texts_are_unique_and_deterministic`)
+                // and nothing looks a head up, so it skips the index.
+                None => self.interner.append_unique(node.kind, node.text),
             };
             self.ids.push(id);
         }

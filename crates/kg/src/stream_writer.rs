@@ -179,6 +179,15 @@ impl StreamInterner {
         NodeId(id)
     }
 
+    /// Append a node the caller knows was never interned and never will
+    /// be, without hashing it into the lookup index: the id and bytes are
+    /// the ones [`StreamInterner::intern`] would give it, but
+    /// [`StreamInterner::find`] and `intern` do not see it. For generators
+    /// whose texts are unique by construction.
+    pub fn append_unique(&mut self, kind: NodeKind, text: &str) -> NodeId {
+        NodeId(self.push_node(kind, text))
+    }
+
     /// Look up an already-interned node.
     pub fn find(&self, kind: NodeKind, text: &str) -> Option<NodeId> {
         let key = Self::key_hash(kind, text);
@@ -1158,6 +1167,32 @@ mod tests {
         assert_eq!(interner.node_text(id.0), "tent");
         assert_eq!(interner.node_kind(id.0), NodeKind::Query);
         assert_eq!(interner.find(NodeKind::Query, "tent"), Some(id));
+    }
+
+    #[test]
+    fn append_unique_matches_intern_but_stays_out_of_the_index() {
+        let (mut interned, mut appended) = (StreamInterner::new(), StreamInterner::new());
+        for (kind, text) in [
+            (NodeKind::Query, "tent"),
+            (NodeKind::Intention, "camping"),
+            (NodeKind::Product, "stove"),
+        ] {
+            let want = interned.intern(kind, text);
+            let got = if kind == NodeKind::Intention {
+                appended.intern(kind, text)
+            } else {
+                appended.append_unique(kind, text)
+            };
+            assert_eq!(got, want);
+            assert_eq!(appended.node_text(got.0), text);
+            assert_eq!(appended.node_kind(got.0), kind);
+        }
+        assert_eq!(appended.arena_len(), interned.arena_len());
+        assert_eq!(appended.find(NodeKind::Query, "tent"), None);
+        assert_eq!(
+            appended.find(NodeKind::Intention, "camping"),
+            Some(NodeId(1))
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! generations exactly via the world oracle.
 
 use crate::instruction::{Instruction, TaskType};
+use cosmo_exec::WorkerPool;
 use cosmo_kg::Relation;
 use cosmo_nn::infer::{self, InferScratch, ScratchPool};
 use cosmo_nn::layers::{Embedding, Linear};
@@ -148,6 +149,12 @@ impl CosmoLm {
     }
 
     /// Instruction-tune on the dataset; last 15% of each task held out.
+    ///
+    /// Each training instruction's input is hashed into encoder features
+    /// once, up front, and every epoch reads those lists. The optimizer
+    /// splits its large tensors across a pool of one worker per core that
+    /// lives only as long as this call; the trained bits do not depend on
+    /// its size.
     pub fn train(&mut self, instructions: &[Instruction]) -> StudentReport {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xF1E7);
         let mut report = StudentReport::default();
@@ -175,31 +182,41 @@ impl CosmoLm {
             }
         }
 
+        // every training input's features back to back; `spans[i]` is
+        // instruction i's run (empty for held-out ones)
+        let mut features = Vec::new();
+        let mut spans = vec![0..0; instructions.len()];
+        for &i in &train_set {
+            let start = features.len();
+            features.extend(hash_features(self.cfg.buckets, &instructions[i].input));
+            spans[i] = start..features.len();
+        }
         let mut opt = Adam::new(self.cfg.lr);
         let mut tape = Tape::new();
+        let pool = WorkerPool::new(WorkerPool::available_parallelism());
         for _epoch in 0..self.cfg.epochs {
             train_set.shuffle(&mut rng);
             let mut gen_loss = 0.0f32;
             let mut gen_steps = 0usize;
             for chunk in train_set.chunks(self.cfg.batch) {
                 // split the chunk by task kind
-                let gens: Vec<&Instruction> = chunk
+                let gens: Vec<(&Instruction, &[usize])> = chunk
                     .iter()
-                    .map(|&i| &instructions[i])
-                    .filter(|i| i.task == TaskType::Generate)
+                    .map(|&i| (&instructions[i], &features[spans[i].clone()]))
+                    .filter(|(i, _)| i.task == TaskType::Generate)
                     .collect();
                 if !gens.is_empty() {
-                    gen_loss += self.gen_step(&gens, &mut opt, &mut tape);
+                    gen_loss += self.gen_step(&gens, &mut opt, &mut tape, &pool);
                     gen_steps += 1;
                 }
                 for slot in 0..4 {
-                    let preds: Vec<&Instruction> = chunk
+                    let preds: Vec<(&Instruction, &[usize])> = chunk
                         .iter()
-                        .map(|&i| &instructions[i])
-                        .filter(|i| head_slot(i.task) == Some(slot) && i.label.is_some())
+                        .map(|&i| (&instructions[i], &features[spans[i].clone()]))
+                        .filter(|(i, _)| head_slot(i.task) == Some(slot) && i.label.is_some())
                         .collect();
                     if !preds.is_empty() {
-                        self.predict_step(slot, &preds, &mut opt, &mut tape);
+                        self.predict_step(slot, &preds, &mut opt, &mut tape, &pool);
                     }
                 }
             }
@@ -245,9 +262,15 @@ impl CosmoLm {
         report
     }
 
-    /// One generation step over the whole batch; returns its mean loss.
-    fn gen_step(&mut self, batch: &[&Instruction], opt: &mut Adam, tape: &mut Tape) -> f32 {
-        let buckets = self.cfg.buckets;
+    /// One generation step over the whole batch (each instruction with its
+    /// hashed features); returns its mean loss.
+    fn gen_step(
+        &mut self,
+        batch: &[(&Instruction, &[usize])],
+        opt: &mut Adam,
+        tape: &mut Tape,
+        pool: &WorkerPool,
+    ) -> f32 {
         let CosmoLm {
             store,
             enc,
@@ -256,40 +279,43 @@ impl CosmoLm {
             ..
         } = self;
         let loss = tape.grad_step(store, |tape, s| {
-            let inputs: Vec<&str> = batch.iter().map(|i| i.input.as_str()).collect();
             let targets: Vec<usize> = batch
                 .iter()
-                .map(|i| tail_index[i.tail.as_ref().unwrap()])
+                .map(|(i, _)| tail_index[i.tail.as_ref().unwrap()])
                 .collect();
-            let e = encode_inputs(tape, s, enc, buckets, &inputs);
+            let features: Vec<&[usize]> = batch.iter().map(|&(_, f)| f).collect();
+            let e = encode_inputs(tape, s, enc, &features);
             let tails = tail_emb.table(tape, s);
             let logits = tape.matmul_nt(e, tails);
             tape.cross_entropy(logits, &targets)
         });
-        opt.step(store);
+        opt.step(store, pool);
         loss
     }
 
     fn predict_step(
         &mut self,
         slot: usize,
-        batch: &[&Instruction],
+        batch: &[(&Instruction, &[usize])],
         opt: &mut Adam,
         tape: &mut Tape,
+        pool: &WorkerPool,
     ) {
-        let buckets = self.cfg.buckets;
         let CosmoLm {
             store, enc, heads, ..
         } = self;
         let head = &heads[slot];
         tape.grad_step(store, |tape, s| {
-            let inputs: Vec<&str> = batch.iter().map(|i| i.input.as_str()).collect();
-            let labels: Vec<f32> = batch.iter().map(|i| f32::from(i.label.unwrap())).collect();
-            let e = encode_inputs(tape, s, enc, buckets, &inputs);
+            let labels: Vec<f32> = batch
+                .iter()
+                .map(|(i, _)| f32::from(i.label.unwrap()))
+                .collect();
+            let features: Vec<&[usize]> = batch.iter().map(|&(_, f)| f).collect();
+            let e = encode_inputs(tape, s, enc, &features);
             let logits = head.forward(tape, s, e);
             tape.bce_with_logits(logits, &labels)
         });
-        opt.step(store);
+        opt.step(store, pool);
     }
 
     /// Generate the top-`k` tails for an input, optionally constrained to
@@ -416,8 +442,8 @@ impl CosmoLm {
 
     /// Stage hashed features for `inputs` in `scratch` and mean-pool them
     /// into `scratch.pooled` (`[batch×dim]`), reading the encoder table in
-    /// place. Mirrors the training encoder [`encode_inputs`] bit-for-bit
-    /// without the tape.
+    /// place. Mirrors the training encoder [`encode_inputs`] over the same
+    /// [`hash_features`] lists bit-for-bit without the tape.
     fn encode_into(&self, scratch: &mut InferScratch, inputs: &[&str]) {
         scratch.clear_ids();
         for (seg, input) in inputs.iter().enumerate() {
@@ -459,25 +485,22 @@ fn hash_features(buckets: usize, input: &str) -> Vec<usize> {
     out
 }
 
-/// Encode a batch of inputs on `tape`: hashed-feature embedding bag with
-/// per-input segment means.
+/// Encode a batch of inputs on `tape` from their [`hash_features`] lists:
+/// hashed-feature embedding bag with per-input segment means.
 fn encode_inputs(
     tape: &mut Tape,
     store: &ParamStore,
     enc: &Embedding,
-    buckets: usize,
-    inputs: &[&str],
+    features: &[&[usize]],
 ) -> cosmo_nn::Var {
     let mut ids = Vec::new();
     let mut segments = Vec::new();
-    for (s, input) in inputs.iter().enumerate() {
-        for f in hash_features(buckets, input) {
-            ids.push(f);
-            segments.push(s);
-        }
+    for (s, feats) in features.iter().enumerate() {
+        ids.extend_from_slice(feats);
+        segments.resize(ids.len(), s);
     }
     let rows = enc.forward(tape, store, &ids);
-    tape.segment_mean(rows, &segments, inputs.len())
+    tape.segment_mean(rows, &segments, features.len())
 }
 
 #[cfg(test)]
@@ -663,7 +686,8 @@ mod tests {
         let k = lm.num_tails();
         for input in ["user searched camping item fresh", "kitchen gadget", ""] {
             let mut tape = Tape::new();
-            let enc = encode_inputs(&mut tape, &lm.store, &lm.enc, lm.cfg.buckets, &[input]);
+            let feats = hash_features(lm.cfg.buckets, input);
+            let enc = encode_inputs(&mut tape, &lm.store, &lm.enc, &[&feats]);
             let tails = lm.tail_emb.table(&mut tape, &lm.store);
             let logits = tape.matmul_nt(enc, tails);
             for relation in [None, Some(Relation::UsedForFunc)] {

@@ -361,7 +361,7 @@ mod tests {
             tape.backward(loss);
             store.zero_grads();
             tape.accumulate_param_grads(&mut store);
-            opt.step(&mut store);
+            opt.step(&mut store, &cosmo_exec::WorkerPool::new(1));
         }
         assert!(
             last_loss < 0.1,
@@ -398,7 +398,7 @@ mod tests {
             tape.backward(loss);
             store.zero_grads();
             tape.accumulate_param_grads(&mut store);
-            opt.step(&mut store);
+            opt.step(&mut store, &cosmo_exec::WorkerPool::new(1));
         }
         assert!(last < 0.1, "MLP failed to fit XOR: loss={last}");
     }

@@ -16,6 +16,7 @@
 //! ## Example
 //!
 //! ```
+//! use cosmo_exec::WorkerPool;
 //! use cosmo_nn::{ParamStore, Tape, Tensor, layers::Mlp, opt::Adam};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -24,13 +25,14 @@
 //! let mlp = Mlp::new(&mut store, "clf", 2, 8, 2, &mut rng);
 //! let mut opt = Adam::new(0.05);
 //! let mut tape = Tape::new();
+//! let pool = WorkerPool::new(1);
 //! for _ in 0..50 {
 //!     tape.grad_step(&mut store, |tape, s| {
 //!         let x = tape.input(Tensor::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]));
 //!         let logits = mlp.forward(tape, s, x);
 //!         tape.cross_entropy(logits, &[1, 0])
 //!     });
-//!     opt.step(&mut store);
+//!     opt.step(&mut store, &pool);
 //! }
 //! ```
 

@@ -6,6 +6,14 @@
 //! `tape.gather(store, id, rows)`) and returns the loss; the step
 //! backpropagates, replaces the store's gradients with the tape's, and the
 //! caller then steps an optimizer from [`crate::opt`].
+//!
+//! Each gradient buffer carries a clean flag: set when the buffer is known
+//! to read `+0.0` everywhere, cleared by any mutable borrow of it.
+//! [`ParamStore::zero_grads`] clears only the buffers that are not clean.
+//! [`crate::opt::Adam`] clears every gradient it reads in the same pass
+//! that reads it and marks it clean, so a step leaves nothing for the next
+//! `zero_grads` but frozen parameters; `Sgd` leaves its gradients as they
+//! are, and they get the dense clear.
 
 use crate::tensor::Tensor;
 
@@ -20,6 +28,8 @@ pub struct ParamStore {
     values: Vec<Tensor>,
     grads: Vec<Tensor>,
     frozen: Vec<bool>,
+    /// `clean[i]`: every element of `grads[i]` is `+0.0`.
+    clean: Vec<bool>,
 }
 
 impl ParamStore {
@@ -35,6 +45,7 @@ impl ParamStore {
         self.values.push(value);
         self.grads.push(Tensor::zeros(r, c));
         self.frozen.push(false);
+        self.clean.push(true);
         ParamId(self.values.len() - 1)
     }
 
@@ -55,6 +66,7 @@ impl ParamStore {
 
     /// Mutable gradient buffer.
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
+        self.clean[id.0] = false;
         &mut self.grads[id.0]
     }
 
@@ -95,10 +107,33 @@ impl ParamStore {
         self.frozen[id.0]
     }
 
-    /// Reset all gradient buffers to zero.
+    /// Each parameter's value and gradient for an optimizer pass that
+    /// sets every gradient element it reads to `+0.0`, with `None` for
+    /// frozen parameters. Each gradient handed out is marked clean, so the
+    /// caller must clear all of it.
+    pub(crate) fn params_to_clear(
+        &mut self,
+    ) -> impl Iterator<Item = Option<(&mut [f32], &mut [f32])>> + '_ {
+        self.values
+            .iter_mut()
+            .zip(self.grads.iter_mut())
+            .zip(self.frozen.iter().zip(self.clean.iter_mut()))
+            .map(|((value, grad), (&frozen, clean))| {
+                if frozen {
+                    return None;
+                }
+                *clean = true;
+                Some((value.data_mut(), grad.data_mut()))
+            })
+    }
+
+    /// Reset all gradient buffers to zero, skipping those already clean.
     pub fn zero_grads(&mut self) {
-        for g in self.grads.iter_mut() {
-            g.zero_();
+        for (g, clean) in self.grads.iter_mut().zip(self.clean.iter_mut()) {
+            if !*clean {
+                g.zero_();
+                *clean = true;
+            }
         }
     }
 }

@@ -472,6 +472,10 @@ impl Tensor {
     }
 }
 
+/// The Adam element pass over one tensor's equal-length slices; see
+/// [`crate::opt::AdamStep::apply`].
+pub(crate) use kernels::{adam_body, adam_pass};
+
 /// Cache-blocked, register-tiled matmul kernels.
 ///
 /// The micro-kernel holds an `MR × NR` accumulator tile in registers and,
@@ -499,7 +503,15 @@ impl Tensor {
 /// so every ISA dispatch path and every thread count produces identical
 /// bytes under the feature (asserted against
 /// [`Tensor::matmul_fma_reference`], the scalar oracle of the tree).
+///
+/// # The Adam pass
+///
+/// The optimizer's element loop lives here too, behind the same runtime
+/// ISA dispatch. It has no reduction and no FMA tier: one body serves
+/// both feature configurations.
 mod kernels {
+    use crate::opt::AdamStep;
+
     /// Output columns per register strip (f32 lanes the compiler can pack)
     /// on the baseline (no runtime-detected ISA) path.
     const NR: usize = 16;
@@ -833,6 +845,117 @@ mod kernels {
             }
         }
         mm_tn_band_impl::<MR, NR, false>(a, b, out, k, n, m, i0)
+    }
+
+    /// The Adam element loop, monomorphised on whether weight decay is on
+    /// (a loop-invariant branch that would otherwise block packing). Each
+    /// element is an independent chain of IEEE operations: division and
+    /// square root round every lane exactly and rustc never contracts the
+    /// mul/add pairs to FMA, so the loop gives the same bits at any lane
+    /// width and in either feature configuration. It writes `+0.0` back
+    /// into each gradient it has read.
+    #[inline(always)]
+    fn adam_impl<const WD: bool>(
+        step: &AdamStep,
+        w: &mut [f32],
+        g: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        let AdamStep {
+            lr,
+            beta1: b1,
+            beta2: b2,
+            eps,
+            weight_decay: wd,
+            bias1,
+            bias2,
+        } = *step;
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
+        for (((w, g), m), v) in w.iter_mut().zip(g.iter_mut()).zip(m).zip(v) {
+            let gx = if WD { *g + wd * *w } else { *g };
+            *m = b1 * *m + c1 * gx;
+            *v = b2 * *v + c2 * gx * gx;
+            let mhat = *m / bias1;
+            let vhat = *v / bias2;
+            *w -= lr * mhat / (vhat.sqrt() + eps);
+            *g = 0.0;
+        }
+    }
+
+    /// The portable Adam body: [`adam_impl`] for the step's weight decay.
+    #[inline(always)]
+    pub(crate) fn adam_body(
+        step: &AdamStep,
+        w: &mut [f32],
+        g: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        if step.weight_decay != 0.0 {
+            adam_impl::<true>(step, w, g, m, v)
+        } else {
+            adam_impl::<false>(step, w, g, m, v)
+        }
+    }
+
+    // The same Adam body recompiled for wider lanes, exactly as the
+    // matmul wrappers above: 16 (AVX-512) or 8 (AVX2) lanes per divide
+    // and square root instead of SSE2's 4, with no FMA enabled.
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    // SAFETY: callers must verify `avx512f` at runtime; the body is the
+    // safe zipped-slice Adam loop, packed 16 lanes wide.
+    unsafe fn adam_avx512(
+        step: &AdamStep,
+        w: &mut [f32],
+        g: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
+        adam_body(step, w, g, m, v)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: callers must verify `avx2` at runtime; the body is the safe
+    // zipped-slice Adam loop, packed 8 lanes wide.
+    unsafe fn adam_avx2(
+        step: &AdamStep,
+        w: &mut [f32],
+        g: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
+        adam_body(step, w, g, m, v)
+    }
+
+    /// The Adam element pass on the widest tier this CPU has; every tier
+    /// gives the portable body's bits.
+    pub(crate) fn adam_pass(
+        step: &AdamStep,
+        w: &mut [f32],
+        g: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        // See `mm_band` for why Miri takes the portable path.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: avx512f was verified on this CPU on the line
+                // above, which is the wrapper's only precondition.
+                return unsafe { adam_avx512(step, w, g, m, v) };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: avx2 was verified on this CPU on the line above.
+                return unsafe { adam_avx2(step, w, g, m, v) };
+            }
+        }
+        adam_body(step, w, g, m, v)
     }
 
     /// Dot product with the build-selected per-element chain: plain

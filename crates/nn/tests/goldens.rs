@@ -203,7 +203,7 @@ fn training_bits_match_pinned_goldens() {
         tape.grad_step(&mut store, |tape, s| {
             two_tower_loss(tape, s, &emb, &head, &examples)
         });
-        adam.step(&mut store);
+        adam.step(&mut store, &cosmo_exec::WorkerPool::new(1));
     }
     let adam_digest = store_digest(&store);
 

@@ -15,6 +15,7 @@
 
 use crate::dataset::{EsciDataset, EsciExample, EsciLabel};
 use crate::metrics::Confusion;
+use cosmo_exec::WorkerPool;
 use cosmo_nn::layers::{Embedding, Mlp};
 use cosmo_nn::opt::Adam;
 use cosmo_nn::{ParamStore, Tape};
@@ -164,6 +165,7 @@ impl RelevanceModel {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x7141);
         let mut opt = Adam::new(self.cfg.lr);
         let mut tape = Tape::new();
+        let pool = WorkerPool::new(1);
         let mut order: Vec<usize> = (0..dataset.train.len()).collect();
         let (arch, buckets) = (self.arch, self.cfg.buckets);
         for _ in 0..self.cfg.epochs {
@@ -176,7 +178,7 @@ impl RelevanceModel {
                     let logits = forward_examples(tape, s, emb, head, arch, buckets, &batch);
                     tape.cross_entropy(logits, &targets)
                 });
-                opt.step(&mut self.store);
+                opt.step(&mut self.store, &pool);
             }
         }
     }

@@ -6,6 +6,7 @@
 
 use super::{global_cooccurrence, prefix_instances, rng_for, SessionModel, TrainConfig};
 use crate::dataset::SessionDataset;
+use cosmo_exec::WorkerPool;
 use cosmo_nn::layers::{attention_pool, Embedding, Linear, Mlp};
 use cosmo_nn::opt::Adam;
 use cosmo_nn::{ParamStore, Tape, Tensor, Var};
@@ -148,6 +149,7 @@ macro_rules! gnn_fit_loop {
     ($self:ident, $ds:ident, $cfg:ident, $rng:ident, $core:ident, $rep_fn:expr) => {{
         let mut opt = Adam::new($cfg.lr);
         let mut tape = Tape::new();
+        let pool = WorkerPool::new(1);
         for _ in 0..$cfg.epochs {
             let instances = prefix_instances($ds, $cfg, &mut $rng);
             for &(si, len) in &instances {
@@ -163,7 +165,7 @@ macro_rules! gnn_fit_loop {
                     let logits = tape.matmul_nt(rep, table);
                     tape.cross_entropy(logits, &[target])
                 });
-                opt.step(&mut $self.store);
+                opt.step(&mut $self.store, &pool);
             }
         }
     }};

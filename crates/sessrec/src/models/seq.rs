@@ -6,6 +6,7 @@
 
 use super::{prefix_instances, rng_for, SessionModel, TrainConfig};
 use crate::dataset::SessionDataset;
+use cosmo_exec::WorkerPool;
 use cosmo_nn::layers::{attention_pool, Embedding, GruCell, Linear};
 use cosmo_nn::opt::Adam;
 use cosmo_nn::{ParamId, ParamStore, Tape, Tensor, Var};
@@ -71,6 +72,7 @@ impl SessionModel for Fpmc {
         );
         let mut opt = Adam::new(cfg.lr);
         let mut tape = Tape::new();
+        let pool = WorkerPool::new(1);
         for _ in 0..cfg.epochs {
             let mut order: Vec<usize> = (0..ds.train.len()).collect();
             use rand::seq::SliceRandom;
@@ -99,7 +101,7 @@ impl SessionModel for Fpmc {
                     let logits = tape.add_row(logits, b);
                     tape.cross_entropy(logits, &targets)
                 });
-                opt.step(&mut self.store);
+                opt.step(&mut self.store, &pool);
             }
         }
     }
@@ -190,6 +192,7 @@ impl SessionModel for Gru4Rec {
         let (emb, gru, dim) = (self.emb.unwrap(), self.gru.unwrap(), self.dim);
         let mut opt = Adam::new(cfg.lr);
         let mut tape = Tape::new();
+        let pool = WorkerPool::new(1);
         for _ in 0..cfg.epochs {
             let mut order: Vec<usize> = (0..ds.train.len()).collect();
             use rand::seq::SliceRandom;
@@ -218,7 +221,7 @@ impl SessionModel for Gru4Rec {
                     }
                     tape.scale(total.unwrap(), 1.0 / targets.len() as f32)
                 });
-                opt.step(&mut self.store);
+                opt.step(&mut self.store, &pool);
             }
         }
     }
@@ -323,6 +326,7 @@ impl SessionModel for Stamp {
         let (emb, mlp_a, mlp_b) = (self.emb.unwrap(), self.mlp_a.unwrap(), self.mlp_b.unwrap());
         let mut opt = Adam::new(cfg.lr);
         let mut tape = Tape::new();
+        let pool = WorkerPool::new(1);
         for _ in 0..cfg.epochs {
             let instances = prefix_instances(ds, cfg, &mut rng);
             for &(si, len) in &instances {
@@ -335,7 +339,7 @@ impl SessionModel for Stamp {
                     let logits = tape.matmul_nt(rep, table);
                     tape.cross_entropy(logits, &[target])
                 });
-                opt.step(&mut self.store);
+                opt.step(&mut self.store, &pool);
             }
         }
     }
@@ -452,6 +456,7 @@ impl SessionModel for Csrm {
         );
         let mut opt = Adam::new(cfg.lr);
         let mut tape = Tape::new();
+        let pool = WorkerPool::new(1);
         for _ in 0..cfg.epochs {
             let instances = prefix_instances(ds, cfg, &mut rng);
             for &(si, len) in &instances {
@@ -464,7 +469,7 @@ impl SessionModel for Csrm {
                     let logits = tape.matmul_nt(rep, table);
                     tape.cross_entropy(logits, &[target])
                 });
-                opt.step(&mut self.store);
+                opt.step(&mut self.store, &pool);
             }
         }
     }
