@@ -2,12 +2,13 @@
 
 use crate::context::{Ctx, Scale};
 use crate::tables::esci_with_knowledge;
-use cosmo_kg::{IntentHierarchy, Relation};
+use cosmo_kg::{IntentHierarchy, NodeId, NodeKind, Relation};
 use cosmo_lm::{simulated_comparison, CosmoLm};
 use cosmo_nav::{run_abtest, AbTestConfig, NavSession, NavigationEngine};
 use cosmo_relevance::{Architecture, RelevanceConfig};
 use cosmo_serving::{query_universe, simulate, ServingSystem, TrafficConfig};
 use cosmo_teacher::{cobuy_prompt, search_buy_prompt};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Figure 3: the QA prompts used for knowledge harvesting.
@@ -136,37 +137,33 @@ pub fn figure7(ctx: &Ctx) -> String {
 
 /// Figure 8: a slice of the intent hierarchy.
 pub fn figure8(ctx: &Ctx) -> String {
-    let h = IntentHierarchy::build(&ctx.out.kg);
+    let kg = &ctx.out.kg;
+    let h = IntentHierarchy::build(kg);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "intent hierarchy: {} nodes, {} roots, depth {}",
         h.len(),
-        h.roots.len(),
+        h.roots().count(),
         h.depth()
     );
-    let mut shown = 0;
-    for &r in &h.roots {
-        let node = &h.nodes[r];
-        if node.children.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "{}", node.text);
-        for &c in node.children.iter().take(4) {
-            let child = &h.nodes[c];
+    for r in h.roots().take(6) {
+        let _ = writeln!(out, "{}", kg.node_text(r));
+        for c in h.children(r).take(4) {
+            let products: BTreeSet<NodeId> = kg
+                .heads_of(c)
+                .map(|e| e.head)
+                .filter(|&p| kg.node_kind(p) == NodeKind::Product)
+                .collect();
             let _ = writeln!(
                 out,
                 "  └─ {} ({} products)",
-                child.text,
-                child.products.len()
+                kg.node_text(c),
+                products.len()
             );
-            for &g in child.children.iter().take(2) {
-                let _ = writeln!(out, "      └─ {}", h.nodes[g].text);
+            for g in h.children(c).take(2) {
+                let _ = writeln!(out, "      └─ {}", kg.node_text(g));
             }
-        }
-        shown += 1;
-        if shown >= 6 {
-            break;
         }
     }
     out

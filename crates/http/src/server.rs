@@ -497,7 +497,6 @@ impl Router {
             .map(|s| NavigateItem {
                 kind: match s {
                     Suggestion::Intent(_) => "intent",
-                    Suggestion::ProductType(_) => "product_type",
                     Suggestion::Attribute(_) => "attribute",
                 }
                 .to_string(),

@@ -460,7 +460,7 @@ fn navigate_and_ops_routes_answer_typed_bodies() {
     assert_eq!(nav.query, "sleeping outdoors");
     for item in &nav.suggestions {
         assert!(
-            ["intent", "product_type", "attribute"].contains(&item.kind.as_str()),
+            ["intent", "attribute"].contains(&item.kind.as_str()),
             "unknown kind {:?}",
             item.kind
         );

@@ -5,46 +5,30 @@
 //! ones (*winter camping*), and intention concepts are further linked to
 //! product concepts such as *winter boots*."
 //!
-//! The builder derives the hierarchy from the tail strings themselves: an
-//! intention A is a parent of intention B when A's token set is a strict
-//! subset of B's (so "camping" ⊃-specialises into "winter camping" and
-//! "lakeside camping"). Each hierarchy node is then linked to the product
-//! heads that express it in the graph, which is what the multi-turn
-//! navigation engine in `cosmo-nav` walks.
+//! The hierarchy is structure laid over the graph's intention nodes, not a
+//! second store of them: it keeps only the links the graph cannot answer.
+//! An intention A is a parent of intention B when A's token set is a
+//! strict subset of B's (so "camping" ⊃-specialises into "winter camping"
+//! and "lakeside camping"). Node text, lookup by text and the product
+//! heads that express an intention stay in the [`GraphView`] the caller
+//! already holds, which is what the multi-turn navigation engine in
+//! `cosmo-nav` walks alongside these links.
 
 use crate::schema::NodeKind;
 use crate::store::NodeId;
 use crate::view::GraphView;
 use cosmo_text::{tokenize, FxHashMap};
 
-/// A node in the intent hierarchy.
-#[derive(Debug, Clone)]
-pub struct HierNode {
-    /// The KG intention node.
-    pub intent: NodeId,
-    /// Surface text of the intention tail.
-    pub text: String,
-    /// Child hierarchy-node indices (more specific intents).
-    pub children: Vec<usize>,
-    /// Parent hierarchy-node indices (more general intents).
-    pub parents: Vec<usize>,
-    /// Product nodes linked to this intention in the KG.
-    pub products: Vec<NodeId>,
-    /// Total support of the intention's edges (popularity proxy).
-    pub support: u32,
-}
-
-/// The intent hierarchy: a DAG over intention tails.
+/// The intent hierarchy: a DAG of immediate strict-subset links between
+/// the graph's intention nodes.
 #[derive(Debug, Clone, Default)]
 pub struct IntentHierarchy {
-    /// All hierarchy nodes.
-    pub nodes: Vec<HierNode>,
-    /// Indices of root nodes (no parents).
-    pub roots: Vec<usize>,
-    /// Node indices sorted by tail text — the binary-searched index behind
-    /// [`IntentHierarchy::find`]. Serialised (it is plain data), so lookups
-    /// survive deserialisation without a rebuild step.
-    by_text: Vec<u32>,
+    /// Intention nodes whose text has at least one token.
+    len: usize,
+    /// Every link as a sorted `(child, parent)` pair.
+    up: Vec<(NodeId, NodeId)>,
+    /// Every link as a sorted `(parent, child)` pair.
+    down: Vec<(NodeId, NodeId)>,
 }
 
 impl IntentHierarchy {
@@ -55,19 +39,18 @@ impl IntentHierarchy {
         // Each intention node's token set as sorted distinct token ids
         // (interned here), and each token id's posting list of the nodes
         // containing it, to avoid O(n²) subset checks; filled in node
-        // order, so every posting list is ascending.
-        let intentions: Vec<NodeId> = (0..kg.num_nodes() as u32)
-            .map(NodeId)
-            .filter(|&id| kg.node_kind(id) == NodeKind::Intention)
-            .collect();
+        // order, so every posting list is ascending and row indices
+        // ascend with node ids.
         let mut token_ids: FxHashMap<String, u32> = FxHashMap::default();
+        let mut ids: Vec<NodeId> = Vec::new();
         let mut tokens: Vec<Vec<u32>> = Vec::new();
         let mut postings: Vec<Vec<u32>> = Vec::new();
-        let mut nodes: Vec<HierNode> = Vec::with_capacity(intentions.len());
-        for id in intentions {
-            let text = kg.node_text(id);
+        for id in (0..kg.num_nodes() as u32).map(NodeId) {
+            if kg.node_kind(id) != NodeKind::Intention {
+                continue;
+            }
             let mut row: Vec<u32> = Vec::new();
-            for token in tokenize(text) {
+            for token in tokenize(kg.node_text(id)) {
                 let next = token_ids.len() as u32;
                 row.push(*token_ids.entry(token).or_insert(next));
             }
@@ -78,28 +61,10 @@ impl IntentHierarchy {
             }
             postings.resize_with(token_ids.len(), Vec::new);
             for &t in &row {
-                postings[t as usize].push(nodes.len() as u32);
+                postings[t as usize].push(ids.len() as u32);
             }
+            ids.push(id);
             tokens.push(row);
-            let mut products = Vec::new();
-            let mut support = 0;
-            for e in kg.heads_of(id) {
-                support += e.support;
-                if kg.node_kind(e.head) == NodeKind::Product {
-                    products.push(e.head);
-                }
-            }
-            products.sort_unstable();
-            products.dedup();
-            products.shrink_to_fit();
-            nodes.push(HierNode {
-                intent: id,
-                text: text.to_string(),
-                children: Vec::new(),
-                parents: Vec::new(),
-                products,
-                support,
-            });
         }
         drop(token_ids);
 
@@ -130,93 +95,95 @@ impl IntentHierarchy {
         links.sort_unstable();
         // Keep only maximal parents (immediate): drop a parent P when some
         // other parent Q of the same child has tokens(P) ⊂ tokens(Q).
+        let mut up: Vec<(NodeId, NodeId)> = Vec::new();
         for ps in links.chunk_by(|x, y| x.0 == y.0) {
-            let b = ps[0].0 as usize;
-            for &(_, p) in ps {
+            for &(b, p) in ps {
                 let p_toks = &tokens[p as usize];
                 if !ps
                     .iter()
                     .any(|&(_, q)| q != p && strict_subset(p_toks, &tokens[q as usize]))
                 {
-                    nodes[b].parents.push(p as usize);
-                    nodes[p as usize].children.push(b);
+                    up.push((ids[b as usize], ids[p as usize]));
                 }
             }
         }
-        let roots = (0..nodes.len())
-            .filter(|&i| nodes[i].parents.is_empty() && !nodes[i].children.is_empty())
-            .collect();
-        let mut by_text: Vec<u32> = (0..nodes.len() as u32).collect();
-        by_text.sort_unstable_by(|&a, &b| nodes[a as usize].text.cmp(&nodes[b as usize].text));
+        // Row indices ascend with node ids, so `up` is already sorted.
+        up.shrink_to_fit();
+        let mut down: Vec<(NodeId, NodeId)> = up.iter().map(|&(c, p)| (p, c)).collect();
+        down.sort_unstable();
         IntentHierarchy {
-            nodes,
-            roots,
-            by_text,
+            len: ids.len(),
+            up,
+            down,
         }
     }
 
-    /// Binary search the sorted text index; intention texts are unique
-    /// (nodes are interned per `(kind, text)`), so at most one node matches.
-    fn find_index(&self, text: &str) -> Option<usize> {
-        self.by_text
-            .binary_search_by(|&i| self.nodes[i as usize].text.as_str().cmp(text))
-            .ok()
-            .map(|pos| self.by_text[pos] as usize)
+    /// Immediate children (more specific intents) of an intention node,
+    /// in ascending node-id order.
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        linked(&self.down, id)
     }
 
-    /// Find a hierarchy node by exact tail text.
-    pub fn find(&self, text: &str) -> Option<&HierNode> {
-        self.find_index(text).map(|i| &self.nodes[i])
+    /// Immediate parents (more general intents) of an intention node, in
+    /// ascending node-id order.
+    pub fn parents(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        linked(&self.up, id)
     }
 
-    /// Refinements (child intents) of a tail text, ranked by support.
-    pub fn refinements_of(&self, text: &str) -> Vec<&HierNode> {
-        let Some(i) = self.find_index(text) else {
-            return Vec::new();
-        };
-        let mut children: Vec<&HierNode> = self.nodes[i]
-            .children
-            .iter()
-            .map(|&c| &self.nodes[c])
-            .collect();
-        children.sort_by(|a, b| b.support.cmp(&a.support).then(a.text.cmp(&b.text)));
-        children
+    /// Roots: intentions with children and no parent, in ascending
+    /// node-id order.
+    pub fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.down
+            .chunk_by(|x, y| x.0 == y.0)
+            .filter_map(|links| links.first())
+            .map(|&(p, _)| p)
+            .filter(|&p| self.parents(p).next().is_none())
     }
 
-    /// Depth of the hierarchy (longest root-to-leaf chain; 0 when empty).
+    /// Depth of the hierarchy (longest root-to-leaf chain; 0 when no
+    /// intention has a child).
     pub fn depth(&self) -> usize {
-        fn dfs(h: &IntentHierarchy, i: usize, memo: &mut [Option<usize>]) -> usize {
-            if let Some(d) = memo[i] {
+        fn height(h: &IntentHierarchy, id: NodeId, memo: &mut FxHashMap<NodeId, usize>) -> usize {
+            if let Some(&d) = memo.get(&id) {
                 return d;
             }
-            // The parent links are acyclic (strict subset ordering), so this
+            // The links are acyclic (strict subset ordering), so this
             // recursion terminates.
-            let d = 1 + h.nodes[i]
-                .children
-                .iter()
-                .map(|&c| dfs(h, c, memo))
+            let d = 1 + h
+                .children(id)
+                .map(|c| height(h, c, memo))
                 .max()
                 .unwrap_or(0);
-            memo[i] = Some(d);
+            memo.insert(id, d);
             d
         }
-        let mut memo = vec![None; self.nodes.len()];
-        self.roots
-            .iter()
-            .map(|&r| dfs(self, r, &mut memo))
+        let mut memo = FxHashMap::default();
+        self.roots()
+            .map(|r| height(self, r, &mut memo))
             .max()
             .unwrap_or(0)
     }
 
-    /// Number of hierarchy nodes.
+    /// Number of intention nodes in the hierarchy (those whose text has at
+    /// least one token), linked or not.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
-    /// True when no intents were found.
+    /// True when the graph has no intention with a token.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
+}
+
+/// The second members of the sorted `pairs` whose first member is `id`.
+fn linked(pairs: &[(NodeId, NodeId)], id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    let start = pairs.partition_point(|&(a, _)| a < id);
+    pairs
+        .iter()
+        .skip(start)
+        .take_while(move |&&(a, _)| a == id)
+        .map(|&(_, b)| b)
 }
 
 /// `a ⊊ b` for sorted, deduplicated token-id lists.
@@ -249,6 +216,15 @@ mod tests {
         kg
     }
 
+    /// Texts of `ids`, for readable asserts.
+    fn texts(kg: &KnowledgeGraph, ids: impl Iterator<Item = NodeId>) -> Vec<&str> {
+        ids.map(|id| kg.node_text(id)).collect()
+    }
+
+    fn intent(kg: &KnowledgeGraph, text: &str) -> NodeId {
+        kg.find_node(NodeKind::Intention, text).unwrap()
+    }
+
     #[test]
     fn camping_expands_to_specialisations() {
         let kg = graph_with_intents(&[
@@ -259,13 +235,13 @@ mod tests {
             "hiking",
         ]);
         let h = IntentHierarchy::build(&kg);
-        let refs = h.refinements_of("camping");
-        let texts: Vec<&str> = refs.iter().map(|n| n.text.as_str()).collect();
-        assert_eq!(texts.len(), 3);
-        assert!(texts.contains(&"winter camping"));
-        assert!(texts.contains(&"lakeside camping"));
-        assert!(texts.contains(&"4-person camping"));
-        assert!(h.refinements_of("hiking").is_empty());
+        assert_eq!(
+            texts(&kg, h.children(intent(&kg, "camping"))),
+            vec!["winter camping", "lakeside camping", "4-person camping"]
+        );
+        assert_eq!(h.children(intent(&kg, "hiking")).count(), 0);
+        assert_eq!(texts(&kg, h.roots()), vec!["camping"]);
+        assert_eq!(h.len(), 5);
     }
 
     #[test]
@@ -273,21 +249,15 @@ mod tests {
         let kg = graph_with_intents(&["camping", "winter camping", "cold winter camping"]);
         let h = IntentHierarchy::build(&kg);
         // "cold winter camping" should hang off "winter camping", not "camping"
-        let grand = h.find("cold winter camping").unwrap();
-        assert_eq!(grand.parents.len(), 1);
-        assert_eq!(h.nodes[grand.parents[0]].text, "winter camping");
-        let refs = h.refinements_of("camping");
-        assert_eq!(refs.len(), 1);
-        assert_eq!(refs[0].text, "winter camping");
-    }
-
-    #[test]
-    fn products_linked() {
-        let kg = graph_with_intents(&["camping"]);
-        let h = IntentHierarchy::build(&kg);
-        let node = h.find("camping").unwrap();
-        assert_eq!(node.products.len(), 1);
-        assert_eq!(kg.node_text(node.products[0]), "air mattress");
+        assert_eq!(
+            texts(&kg, h.parents(intent(&kg, "cold winter camping"))),
+            vec!["winter camping"]
+        );
+        assert_eq!(
+            texts(&kg, h.children(intent(&kg, "camping"))),
+            vec!["winter camping"]
+        );
+        assert_eq!(h.parents(intent(&kg, "camping")).count(), 0);
     }
 
     #[test]
@@ -295,15 +265,9 @@ mod tests {
         let kg = graph_with_intents(&["camping", "winter camping", "cold winter camping"]);
         let h = IntentHierarchy::build(&kg);
         assert_eq!(h.depth(), 3);
-    }
-
-    #[test]
-    fn refinements_ranked_by_support() {
-        let kg = graph_with_intents(&["camping", "winter camping", "lakeside camping"]);
-        let h = IntentHierarchy::build(&kg);
-        let refs = h.refinements_of("camping");
-        // "winter camping" was inserted earlier → higher support
-        assert_eq!(refs[0].text, "winter camping");
+        // unlinked intentions count in `len` but form no chain
+        let flat = IntentHierarchy::build(&graph_with_intents(&["camping", "hiking"]));
+        assert_eq!((flat.len(), flat.depth(), flat.roots().count()), (2, 0, 0));
     }
 
     #[test]
@@ -312,6 +276,9 @@ mod tests {
         let h = IntentHierarchy::build(&kg);
         assert!(h.is_empty());
         assert_eq!(h.depth(), 0);
+        // an intention without tokens stays out of the hierarchy
+        let h = IntentHierarchy::build(&graph_with_intents(&["!!!"]));
+        assert!(h.is_empty());
     }
 
     #[test]
@@ -327,22 +294,20 @@ mod tests {
         let from_store = IntentHierarchy::build(&kg);
         let from_snap = IntentHierarchy::build(&snap);
         assert_eq!(from_store.len(), from_snap.len());
-        assert_eq!(from_store.roots, from_snap.roots);
-        for (a, b) in from_store.nodes.iter().zip(&from_snap.nodes) {
-            assert_eq!(a.intent, b.intent);
-            assert_eq!(a.text, b.text);
-            assert_eq!(a.children, b.children);
-            assert_eq!(a.parents, b.parents);
-            assert_eq!(a.products, b.products);
-            assert_eq!(a.support, b.support);
-        }
+        assert_eq!(from_store.up, from_snap.up);
+        assert_eq!(from_store.down, from_snap.down);
+        assert_eq!(
+            from_store.roots().collect::<Vec<_>>(),
+            from_snap.roots().collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn find_scales_to_ten_thousand_intents() {
-        // Regression test for the sorted-index lookup: 10k intents, every
-        // one findable, refinements correct, unknown texts rejected —
-        // exercising the binary search far beyond the toy fixtures.
+        // Regression test for the sorted-pair link lookup: 10k intents,
+        // every one found in the graph with its one refinement, unknown
+        // texts rejected — exercising the binary search far beyond the
+        // toy fixtures.
         let mut tails: Vec<String> = Vec::new();
         for i in 0..5000 {
             tails.push(format!("activity{i}"));
@@ -352,16 +317,20 @@ mod tests {
         let kg = graph_with_intents(&refs);
         let h = IntentHierarchy::build(&kg);
         assert_eq!(h.len(), 10_000);
+        assert_eq!(h.roots().count(), 5000);
         for i in (0..5000).step_by(97) {
-            let base = format!("activity{i}");
-            let node = h.find(&base).expect("base intent must be found");
-            assert_eq!(node.text, base);
-            let fine = h.refinements_of(&base);
-            assert_eq!(fine.len(), 1, "refinements of {base}");
-            assert_eq!(fine[0].text, format!("outdoor{i} activity{i}"));
+            let base = intent(&kg, &format!("activity{i}"));
+            let fine = format!("outdoor{i} activity{i}");
+            assert_eq!(texts(&kg, h.children(base)), vec![fine.as_str()]);
+            assert_eq!(
+                h.parents(intent(&kg, &fine)).collect::<Vec<_>>(),
+                vec![base]
+            );
         }
-        assert!(h.find("activity5000").is_none());
-        assert!(h.find("").is_none());
-        assert!(h.refinements_of("no such intent").is_empty());
+        assert!(kg.find_node(NodeKind::Intention, "activity5000").is_none());
+        assert!(kg.find_node(NodeKind::Intention, "").is_none());
+        // a node outside the hierarchy has no links
+        let product = kg.find_node(NodeKind::Product, "air mattress").unwrap();
+        assert_eq!(h.children(product).count() + h.parents(product).count(), 0);
     }
 }

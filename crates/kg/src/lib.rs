@@ -4,12 +4,13 @@
 //! behaviour kinds), a mutable store for the offline pipeline, one frozen
 //! CSR format for the read side, per-category statistics
 //! (Tables 1 & 3), and the intent hierarchy of Figure 8 that powers
-//! search navigation.
+//! search navigation: strict-subset links between the graph's own
+//! intention nodes, with no copy of their text or products.
 //!
 //! The pipeline in `cosmo-core` writes refined knowledge into a
 //! [`KnowledgeGraph`], the only mutable store. Freezing it yields a
 //! [`KgSnapshotView`] that `cosmo-serving` reads at request time and
-//! `cosmo-nav` walks via the [`IntentHierarchy`] for multi-turn
+//! `cosmo-nav` walks via the [`IntentHierarchy`]'s links for multi-turn
 //! navigation — both through the [`GraphView`] trait, which the mutable
 //! store also implements (and answers bitwise-identically). The store
 //! keeps its nodes in a [`StreamInterner`], the node table the snapshot

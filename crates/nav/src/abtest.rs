@@ -18,7 +18,7 @@
 //! its magnitude is small because visibility and match rates are small —
 //! the same reason the paper calls its 0.7% "especially significant".
 
-use crate::engine::{NavSession, NavigationEngine, Suggestion};
+use crate::engine::{NavSession, NavigationEngine};
 use cosmo_synth::{DomainId, IntentId, ProductTypeId, QueryKind, World};
 use cosmo_text::{FxHashMap, FxHashSet};
 use rand::rngs::StdRng;
@@ -236,13 +236,6 @@ fn page_match(
         }
     }
     score / norm
-}
-
-/// Marker so the unused-import lint stays honest if Suggestion handling
-/// changes.
-#[allow(dead_code)]
-fn _suggestion_label(s: &Suggestion) -> &str {
-    s.label()
 }
 
 #[cfg(test)]

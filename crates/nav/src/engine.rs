@@ -4,7 +4,8 @@
 //! customer-focused approach", organised in three layers:
 //!
 //! 1. **Broad conception interpretation** — a broad query ("camping") is
-//!    mapped to intent refinements via the KG intent hierarchy;
+//!    mapped to intent refinements via the KG intent hierarchy's links,
+//!    ranked by each refinement's support in the graph;
 //! 2. **Product type and subtype discovery** — a selected intent surfaces
 //!    the product types and subtypes linked to it;
 //! 3. **Attribute-based refinement** — the final layer filters by
@@ -22,8 +23,6 @@ use cosmo_text::{tokenize, FxHashSet};
 pub enum Suggestion {
     /// A finer-grained intent ("winter camping").
     Intent(String),
-    /// A product concept/type linked to the current intent.
-    ProductType(String),
     /// An attribute filter token ("portable").
     Attribute(String),
 }
@@ -32,12 +31,13 @@ impl Suggestion {
     /// The display label.
     pub fn label(&self) -> &str {
         match self {
-            Suggestion::Intent(s) | Suggestion::ProductType(s) | Suggestion::Attribute(s) => s,
+            Suggestion::Intent(s) | Suggestion::Attribute(s) => s,
         }
     }
 }
 
-/// The navigation service: a KG plus its intent hierarchy.
+/// The navigation service: a KG plus the intent hierarchy's links over its
+/// intention nodes; text, lookup and products come from the KG.
 ///
 /// Generic over the graph backend: the mutable [`KnowledgeGraph`] builder
 /// (the default, for tests and offline tooling) and the frozen
@@ -66,17 +66,36 @@ impl<G: GraphView> NavigationEngine<G> {
         &self.hierarchy
     }
 
+    /// The top-`k` refinements (hierarchy children) of an intention text,
+    /// ranked by the support summed over each child's incoming edges, then
+    /// by text.
+    fn refinements(&self, intent: &str, k: usize) -> Vec<Suggestion> {
+        let Some(node) = self.kg.find_node(NodeKind::Intention, intent) else {
+            return Vec::new();
+        };
+        let mut children: Vec<(u32, &str)> = self
+            .hierarchy
+            .children(node)
+            .map(|c| {
+                let support = self.kg.heads_of(c).map(|e| e.support).sum();
+                (support, self.kg.node_text(c))
+            })
+            .collect();
+        children.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
+        children
+            .into_iter()
+            .take(k)
+            .map(|(_, text)| Suggestion::Intent(text.to_string()))
+            .collect()
+    }
+
     /// Layer 1: interpret a broad query into intent suggestions — hierarchy
     /// refinements of the matching intent when one exists, otherwise the
     /// query node's top intents from the KG.
     pub fn interpret(&self, query: &str, k: usize) -> Vec<Suggestion> {
-        let refinements = self.hierarchy.refinements_of(query);
+        let refinements = self.refinements(query, k);
         if !refinements.is_empty() {
-            return refinements
-                .into_iter()
-                .take(k)
-                .map(|n| Suggestion::Intent(n.text.clone()))
-                .collect();
+            return refinements;
         }
         let Some(node) = self.kg.find_node(NodeKind::Query, query) else {
             return Vec::new();
@@ -91,12 +110,7 @@ impl<G: GraphView> NavigationEngine<G> {
     /// Layer 2: products linked to an intent tail (via the KG's incoming
     /// edges), returned as `(product node, title)`.
     pub fn products_for_intent(&self, intent: &str, k: usize) -> Vec<(NodeId, String)> {
-        let Some(node) = self
-            .hierarchy
-            .find(intent)
-            .map(|n| n.intent)
-            .or_else(|| self.kg.find_node(NodeKind::Intention, intent))
-        else {
+        let Some(node) = self.kg.find_node(NodeKind::Intention, intent) else {
             return Vec::new();
         };
         let mut out: Vec<(NodeId, String)> = Vec::new();
@@ -193,20 +207,13 @@ impl<'e, G: GraphView> NavSession<'e, G> {
         match suggestion {
             Suggestion::Intent(intent) => {
                 self.candidates = self.engine.products_for_intent(intent, 64);
-                let mut next: Vec<Suggestion> = self
-                    .engine
-                    .hierarchy
-                    .refinements_of(intent)
-                    .into_iter()
-                    .take(k)
-                    .map(|n| Suggestion::Intent(n.text.clone()))
-                    .collect();
+                let mut next = self.engine.refinements(intent, k);
                 if next.len() < k {
                     next.extend(self.engine.attributes_of(&self.candidates, k - next.len()));
                 }
                 next
             }
-            Suggestion::ProductType(t) | Suggestion::Attribute(t) => {
+            Suggestion::Attribute(t) => {
                 let token = t.clone();
                 self.candidates.retain(|(_, title)| {
                     tokenize(title).iter().any(|tok| tok == &token)
@@ -311,6 +318,23 @@ mod tests {
         let prods = engine.products_for_intent("winter camping", 10);
         assert_eq!(prods.len(), 2);
         assert!(prods[0].1.contains("winter"));
+    }
+
+    #[test]
+    fn refinements_ranked_by_support() {
+        // "camping" refines to "winter camping" (products at support 3
+        // and 2: 5) and "lakeside camping" (one product at support 2)
+        let engine = NavigationEngine::new(camping_kg());
+        assert_eq!(
+            engine.refinements("camping", 5),
+            vec![
+                Suggestion::Intent("winter camping".into()),
+                Suggestion::Intent("lakeside camping".into()),
+            ]
+        );
+        assert_eq!(engine.refinements("camping", 1).len(), 1);
+        assert!(engine.refinements("winter camping", 5).is_empty());
+        assert!(engine.refinements("no such intent", 5).is_empty());
     }
 
     #[test]

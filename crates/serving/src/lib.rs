@@ -61,8 +61,9 @@
 //! ## Hot snapshot swap
 //!
 //! Graph-derived state (the [`cosmo_kg::KgSnapshotView`], cache, feature
-//! store, and the [`cosmo_nav::NavigationEngine`] with its Figure 8 intent
-//! hierarchy) is bundled into an immutable [`SnapshotGeneration`] behind
+//! store, and the [`cosmo_nav::NavigationEngine`] with the links of its
+//! Figure 8 intent hierarchy, which reads node text and products from the
+//! same view) is bundled into an immutable [`SnapshotGeneration`] behind
 //! an RCU-style [`SnapshotHandle`]. One function builds a generation, for
 //! the build-time snapshot and for every swap alike:
 //! `ServingSystem::swap_snapshot` builds the whole next generation,

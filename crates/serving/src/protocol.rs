@@ -834,7 +834,7 @@ wire_message! {
     /// One navigation suggestion on the wire.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct NavigateItem {
-        /// Suggestion kind: `intent`, `product_type`, or `attribute`.
+        /// Suggestion kind: `intent` or `attribute`.
         pub kind: String,
         /// Display label.
         pub label: String,

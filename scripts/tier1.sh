@@ -6,7 +6,8 @@
 # Runs the release build, the whole workspace's test suite (the root
 # manifest's `default-members` make plain `cargo test` cover every crate),
 # the audit ratchet, clippy with warnings denied, the formatting check,
-# the snapshot check, the serve_http example and the kg-scaling smoke.
+# the snapshot check, the serve_http and navigation_session examples and
+# the kg-scaling smoke.
 # HTTP load and hot swaps under load are covered by cosmo-http's
 # integration tests. Smoke runs write their BENCH_*.json under the
 # gitignored artifacts/, so the gate leaves the working tree clean;
@@ -52,6 +53,9 @@ cargo run --release --example snapshot_check
 # keep-alive connection, asserting the serve-intents bytes and a
 # non-empty navigate answer
 cargo run --release --example serve_http
+# navigation through the public API: intent hierarchy over a pipeline KG,
+# a multi-turn session and a miniature A/B test (asserts a navigable query)
+cargo run --release --example navigation_session
 # streaming-writer smoke: sharded generation stream-frozen with forced
 # spills, asserted byte-identical to the in-memory store freeze (the
 # 6.3M-node/29M-edge world is opt-in: `repro -- kg-scaling --paper`)
